@@ -12,7 +12,8 @@ Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
+Tensor ReLU::backward_pass(const Tensor& grad_output,
+                           bool /*param_grads*/) {
   OPAD_EXPECTS(grad_output.shape() == cached_input_.shape());
   Tensor grad = grad_output;
   auto gi = grad.data();
@@ -35,7 +36,8 @@ Tensor LeakyReLU::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor LeakyReLU::backward(const Tensor& grad_output) {
+Tensor LeakyReLU::backward_pass(const Tensor& grad_output,
+                                bool /*param_grads*/) {
   OPAD_EXPECTS(grad_output.shape() == cached_input_.shape());
   Tensor grad = grad_output;
   auto gi = grad.data();
@@ -59,7 +61,8 @@ Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
+Tensor Tanh::backward_pass(const Tensor& grad_output,
+                           bool /*param_grads*/) {
   OPAD_EXPECTS(grad_output.shape() == cached_output_.shape());
   Tensor grad = grad_output;
   auto gi = grad.data();
@@ -77,7 +80,8 @@ Tensor Sigmoid::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_output) {
+Tensor Sigmoid::backward_pass(const Tensor& grad_output,
+                              bool /*param_grads*/) {
   OPAD_EXPECTS(grad_output.shape() == cached_output_.shape());
   Tensor grad = grad_output;
   auto gi = grad.data();

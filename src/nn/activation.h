@@ -9,7 +9,6 @@ namespace opad {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::size_t output_dim(std::size_t input_dim) const override {
     return input_dim;
   }
@@ -17,6 +16,8 @@ class ReLU : public Layer {
   LayerPtr clone() const override { return std::make_unique<ReLU>(*this); }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   Tensor cached_input_;
 };
 
@@ -25,7 +26,6 @@ class LeakyReLU : public Layer {
  public:
   explicit LeakyReLU(float slope = 0.01f);
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::size_t output_dim(std::size_t input_dim) const override {
     return input_dim;
   }
@@ -35,6 +35,8 @@ class LeakyReLU : public Layer {
   }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   float slope_;
   Tensor cached_input_;
 };
@@ -43,7 +45,6 @@ class LeakyReLU : public Layer {
 class Tanh : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::size_t output_dim(std::size_t input_dim) const override {
     return input_dim;
   }
@@ -51,6 +52,8 @@ class Tanh : public Layer {
   LayerPtr clone() const override { return std::make_unique<Tanh>(*this); }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   Tensor cached_output_;
 };
 
@@ -58,7 +61,6 @@ class Tanh : public Layer {
 class Sigmoid : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::size_t output_dim(std::size_t input_dim) const override {
     return input_dim;
   }
@@ -68,6 +70,8 @@ class Sigmoid : public Layer {
   }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   Tensor cached_output_;
 };
 

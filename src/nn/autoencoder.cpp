@@ -114,8 +114,7 @@ Tensor Autoencoder::error_input_gradient(const Tensor& input) {
   // direct dependence on the target x. The chain through the target is
   // -grad, so combine both.
   const Tensor grad_out = mse.gradient(out, batch);
-  Tensor grad_through_net = network_.backward(grad_out);
-  network_.zero_gradients();
+  Tensor grad_through_net = network_.backward_input(grad_out);
   Tensor grad_target = grad_out;  // d/dtarget MSE = -(grad wrt prediction)
   grad_target *= -1.0f;
   grad_through_net += grad_target;

@@ -75,7 +75,7 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
   return output;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_output) {
+Tensor Conv2D::backward_pass(const Tensor& grad_output, bool param_grads) {
   const std::size_t n = cached_batch_;
   OPAD_EXPECTS_MSG(grad_output.rank() == 2 && grad_output.dim(0) == n &&
                        grad_output.dim(1) == out_.features(),
@@ -96,21 +96,23 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
       }
     }
   });
-  // dW += dY * cols^T. The batched GEMM owes its determinism to the
-  // kernel's fixed kc-blocked accumulation over k = n*spatial, which
-  // replaces the old per-sample partial fold.
-  grad_weight_ += matmul_transpose_b(grad_maps, cached_cols_);
-  // dBias: per-channel row sums, each row summed in index order.
-  float* pb = grad_bias_.data().data();
-  parallel_for(0, out_.channels, scatter_grain(n * spatial),
-               [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t oc = lo; oc < hi; ++oc) {
-      const float* row = pm + oc * n * spatial;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < n * spatial; ++p) acc += row[p];
-      pb[oc] += acc;
-    }
-  });
+  if (param_grads) {
+    // dW += dY * cols^T. The batched GEMM owes its determinism to the
+    // kernel's fixed kc-blocked accumulation over k = n*spatial, which
+    // replaces the old per-sample partial fold.
+    grad_weight_ += matmul_transpose_b(grad_maps, cached_cols_);
+    // dBias: per-channel row sums, each row summed in index order.
+    float* pb = grad_bias_.data().data();
+    parallel_for(0, out_.channels, scatter_grain(n * spatial),
+                 [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t oc = lo; oc < hi; ++oc) {
+        const float* row = pm + oc * n * spatial;
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < n * spatial; ++p) acc += row[p];
+        pb[oc] += acc;
+      }
+    });
+  }
   // dX = col2im(W^T * dY), batched: one GEMM, then a per-sample scatter.
   const Tensor grad_cols = matmul_transpose_a(weight_, grad_maps);
   return col2im_batch(grad_cols, n, in_.channels, in_.height, in_.width,
@@ -178,7 +180,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
   return output;
 }
 
-Tensor MaxPool2D::backward(const Tensor& grad_output) {
+Tensor MaxPool2D::backward_pass(const Tensor& grad_output,
+                                bool /*param_grads*/) {
   OPAD_EXPECTS(grad_output.rank() == 2 &&
                grad_output.dim(0) == cached_batch_ &&
                grad_output.dim(1) == out_.features());

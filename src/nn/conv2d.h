@@ -24,7 +24,6 @@ class Conv2D : public Layer {
          std::size_t stride, std::size_t pad, Rng& rng);
 
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
     return {&grad_weight_, &grad_bias_};
@@ -42,6 +41,8 @@ class Conv2D : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   ImageGeometry in_;
   ImageGeometry out_;
   std::size_t kernel_;
@@ -61,7 +62,6 @@ class MaxPool2D : public Layer {
   MaxPool2D(ImageGeometry in, std::size_t window);
 
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::size_t output_dim(std::size_t input_dim) const override;
   std::string name() const override;
   LayerPtr clone() const override {
@@ -71,6 +71,8 @@ class MaxPool2D : public Layer {
   ImageGeometry output_geometry() const { return out_; }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   ImageGeometry in_;
   ImageGeometry out_;
   std::size_t window_;

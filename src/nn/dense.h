@@ -12,7 +12,6 @@ class Dense : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
     return {&grad_weight_, &grad_bias_};
@@ -29,6 +28,8 @@ class Dense : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   std::size_t in_;
   std::size_t out_;
   Tensor weight_;       // [in, out]

@@ -28,7 +28,8 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
+Tensor Dropout::backward_pass(const Tensor& grad_output,
+                              bool /*param_grads*/) {
   if (!last_training_ || rate_ == 0.0f) {
     return grad_output;
   }

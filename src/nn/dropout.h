@@ -16,7 +16,6 @@ class Dropout : public Layer {
   Dropout(float rate, Rng& rng);
 
   Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::size_t output_dim(std::size_t input_dim) const override {
     return input_dim;
   }
@@ -28,6 +27,8 @@ class Dropout : public Layer {
   float rate() const { return rate_; }
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+
   float rate_;
   Rng rng_;
   Tensor mask_;            // scale factors applied in the last forward

@@ -37,7 +37,17 @@ class Layer {
   /// Propagates the loss gradient w.r.t. this layer's output back to its
   /// input, accumulating parameter gradients along the way. Must be called
   /// after forward() with a matching batch size.
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  Tensor backward(const Tensor& grad_output) {
+    return backward_pass(grad_output, /*param_grads=*/true);
+  }
+
+  /// The input half of backward(): the same input gradient, bit for bit,
+  /// with the parameter-gradient work skipped and gradients() left
+  /// untouched. Attack gradients (Classifier::input_gradient_batch) take
+  /// this path.
+  Tensor backward_input(const Tensor& grad_output) {
+    return backward_pass(grad_output, /*param_grads=*/false);
+  }
 
   /// Trainable parameter tensors (possibly empty). Pointers remain valid
   /// for the lifetime of the layer.
@@ -59,6 +69,12 @@ class Layer {
   virtual std::string name() const = 0;
 
  protected:
+  /// The one backward implementation behind backward() and
+  /// backward_input(); parameter gradients are accumulated only when
+  /// `param_grads` is set.
+  virtual Tensor backward_pass(const Tensor& grad_output,
+                               bool param_grads) = 0;
+
   /// Copying is reserved for the clone() implementations of concrete
   /// layers (protected to prevent accidental slicing through the base).
   Layer(const Layer&) = default;

@@ -84,10 +84,19 @@ Tensor Sequential::forward_prefix(const Tensor& input,
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, /*param_grads=*/true);
+}
+
+Tensor Sequential::backward_input(const Tensor& grad_output) {
+  return backward_pass(grad_output, /*param_grads=*/false);
+}
+
+Tensor Sequential::backward_pass(const Tensor& grad_output,
+                                 bool param_grads) {
   OPAD_EXPECTS(grad_output.rank() == 2 && grad_output.dim(1) == output_dim_);
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+    g = param_grads ? (*it)->backward(g) : (*it)->backward_input(g);
   }
   return g;
 }
@@ -184,16 +193,9 @@ double Classifier::accumulate_gradients(const Tensor& inputs,
 
 Tensor Classifier::input_gradient(const Tensor& input, int y) {
   OPAD_EXPECTS(input.rank() == 1 && input.dim(0) == input_dim());
-  queries_ += 1;
-  const Tensor batch = input.reshaped({1, input.dim(0)});
-  const Tensor out = network_.forward(batch, /*training=*/true);
   const int labels[1] = {y};
-  const Tensor grad_out = loss_fn_.gradient(out, std::span(labels, 1));
-  // Parameter gradients accumulated here are scratch: zero them so an
-  // interleaved training step never sees attack gradients.
-  Tensor grad_in = network_.backward(grad_out);
-  network_.zero_gradients();
-  return grad_in.reshaped({input.dim(0)});
+  return input_gradient_batch(input.reshaped({1, input.dim(0)}), labels)
+      .reshaped({input.dim(0)});
 }
 
 Tensor Classifier::input_gradient_batch(const Tensor& xs,
@@ -202,10 +204,7 @@ Tensor Classifier::input_gradient_batch(const Tensor& xs,
   OPAD_EXPECTS(ys.size() == xs.dim(0));
   queries_ += xs.dim(0);
   const Tensor out = network_.forward(xs, /*training=*/true);
-  const Tensor grad_out = loss_fn_.gradient_per_sample(out, ys);
-  Tensor grad_in = network_.backward(grad_out);
-  network_.zero_gradients();
-  return grad_in;
+  return network_.backward_input(loss_fn_.gradient_per_sample(out, ys));
 }
 
 }  // namespace opad

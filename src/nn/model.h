@@ -125,8 +125,14 @@ class Sequential {
   /// encoder half of an autoencoder.
   Tensor forward_prefix(const Tensor& input, std::size_t layer_count);
 
-  /// Backward pass; returns gradient w.r.t. the input batch.
+  /// Backward pass; returns gradient w.r.t. the input batch and
+  /// accumulates every layer's parameter gradients.
   Tensor backward(const Tensor& grad_output);
+
+  /// Input-only backward pass (Layer::backward_input through every
+  /// layer): the same input gradient, bit for bit, with parameter
+  /// gradients neither computed nor touched.
+  Tensor backward_input(const Tensor& grad_output);
 
   /// All trainable parameters / their gradients, flattened across layers.
   std::vector<Tensor*> parameters();
@@ -138,6 +144,8 @@ class Sequential {
   std::vector<std::string> layer_names() const;
 
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads);
+
   std::size_t input_dim_;
   std::size_t output_dim_;
   std::vector<LayerPtr> layers_;
@@ -190,18 +198,19 @@ class Classifier : public ForwardScorer {
                               std::span<const double> weights = {});
 
   /// Gradient of the cross-entropy loss w.r.t. a single input [d],
-  /// evaluated at label `y`. Parameter gradients are left zeroed (they are
-  /// scratch during this computation). This is the attack substrate's
-  /// entry point.
+  /// evaluated at label `y`: input_gradient_batch() on a one-row view.
+  /// This is the attack substrate's entry point.
   Tensor input_gradient(const Tensor& input, int y);
 
   /// Batched form: gradient of the per-sample (unscaled) cross-entropy
   /// w.r.t. each row of `xs` [B, d] at labels `ys` [B], in one forward +
-  /// one backward pass. Parameter gradients are left zeroed. Row b is
-  /// bitwise equal to input_gradient(xs.row(b), ys[b]): every GEMM output
-  /// element is accumulated with a fixed k-ascending association
-  /// regardless of batch size, and the per-sample loss gradient carries
-  /// no 1/B scale. Costs B queries, exactly like B single calls.
+  /// one input-only backward pass (Sequential::backward_input), so
+  /// parameter gradients are neither computed nor touched: gradients
+  /// accumulated before the call survive it unchanged. Row b is bitwise
+  /// equal to input_gradient(xs.row(b), ys[b]): every GEMM output element
+  /// is accumulated with a fixed k-ascending association regardless of
+  /// batch size, and the per-sample loss gradient carries no 1/B scale.
+  /// Costs B queries, exactly like B single calls.
   Tensor input_gradient_batch(const Tensor& xs, std::span<const int> ys);
 
   /// Number of forward passes served so far (query counter used by the

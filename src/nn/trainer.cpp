@@ -62,11 +62,10 @@ TrainHistory train_classifier(Classifier& model, const Tensor& inputs,
     EpochStats stats;
     stats.epoch = epoch;
     stats.mean_loss = loss_sum / static_cast<double>(batches);
-    stats.train_accuracy = evaluate_accuracy(model, inputs, labels);
     history.epochs.push_back(stats);
     if (config.verbose) {
       OPAD_INFO << "epoch " << epoch << " loss " << stats.mean_loss
-                << " acc " << stats.train_accuracy;
+                << " acc " << evaluate_accuracy(model, inputs, labels);
     }
     if (config.loss_target && stats.mean_loss < *config.loss_target) break;
   }

@@ -21,13 +21,14 @@ struct TrainConfig {
   bool use_adam = false;
   /// Stop early when the training loss over an epoch drops below this.
   std::optional<double> loss_target;
+  /// Log each epoch's loss and training-set accuracy. The accuracy costs
+  /// one inference pass over the inputs, so it is computed only here.
   bool verbose = false;
 };
 
 struct EpochStats {
   std::size_t epoch = 0;
   double mean_loss = 0.0;
-  double train_accuracy = 0.0;
 };
 
 struct TrainHistory {

@@ -27,6 +27,20 @@ GaussianMixtureModel::GaussianMixtureModel(std::vector<Component> components)
     total += c.weight;
   }
   for (auto& c : components_) c.weight /= total;
+  cache_normalisers();
+}
+
+void GaussianMixtureModel::cache_normalisers() {
+  const std::size_t d = dim();
+  log_weight_.resize(components_.size());
+  log_norm_.resize(components_.size());
+  for (std::size_t k = 0; k < components_.size(); ++k) {
+    const auto& c = components_[k];
+    log_weight_[k] = std::log(c.weight);
+    double log_det = 0.0;
+    for (std::size_t j = 0; j < d; ++j) log_det += std::log(c.variance[j]);
+    log_norm_[k] = static_cast<double>(d) * std::log(2.0 * M_PI) + log_det;
+  }
 }
 
 std::size_t GaussianMixtureModel::dim() const {
@@ -36,22 +50,19 @@ std::size_t GaussianMixtureModel::dim() const {
 double GaussianMixtureModel::component_log_pdf(std::size_t k,
                                                const Tensor& x) const {
   const auto& c = components_[k];
-  double quad = 0.0, log_det = 0.0;
+  double quad = 0.0;
   for (std::size_t j = 0; j < c.mean.size(); ++j) {
     const double d = static_cast<double>(x.at(j)) - c.mean[j];
     quad += d * d / c.variance[j];
-    log_det += std::log(c.variance[j]);
   }
-  return -0.5 * (static_cast<double>(dim()) * std::log(2.0 * M_PI) +
-                 log_det + quad);
+  return -0.5 * (log_norm_[k] + quad);
 }
 
 double GaussianMixtureModel::log_density(const Tensor& x) const {
   OPAD_EXPECTS(x.rank() == 1 && x.dim(0) == dim());
   double acc = -std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < components_.size(); ++k) {
-    acc = log_add_exp(acc,
-                      std::log(components_[k].weight) + component_log_pdf(k, x));
+    acc = log_add_exp(acc, log_weight_[k] + component_log_pdf(k, x));
   }
   return acc;
 }
@@ -73,7 +84,7 @@ std::vector<double> GaussianMixtureModel::responsibilities(
   OPAD_EXPECTS(x.rank() == 1 && x.dim(0) == dim());
   std::vector<double> log_terms(components_.size());
   for (std::size_t k = 0; k < components_.size(); ++k) {
-    log_terms[k] = std::log(components_[k].weight) + component_log_pdf(k, x);
+    log_terms[k] = log_weight_[k] + component_log_pdf(k, x);
   }
   const double log_z = log_sum_exp(log_terms);
   std::vector<double> resp(components_.size());
@@ -248,22 +259,14 @@ GaussianMixtureModel GaussianMixtureModel::fit(const Tensor& data,
   std::vector<double> ll_partial(chunks);
   std::vector<double> nk_partial(chunks * k);
   std::vector<double> stat_partial(chunks * k * d);  // means, then variances
-  std::vector<double> log_weight(k), base(k);
+  const std::vector<double>& log_weight = model.log_weight_;
+  const std::vector<double>& log_norm = model.log_norm_;
   std::vector<double> nk(k), mean_sum(k * d);
   std::vector<char> dead(k);
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    // Per-iteration constants hoisted out of the per-point loop (the
-    // serial code re-derived k*d logarithms for every point).
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto& comp = model.components_[c];
-      log_weight[c] = std::log(comp.weight);
-      double log_det = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        log_det += std::log(comp.variance[j]);
-      }
-      base[c] = static_cast<double>(d) * std::log(2.0 * M_PI) + log_det;
-    }
+    // Per-iteration constants hoisted out of the per-point loop.
+    model.cache_normalisers();
     std::fill(ll_partial.begin(), ll_partial.end(), 0.0);
     std::fill(nk_partial.begin(), nk_partial.end(), 0.0);
     std::fill(stat_partial.begin(), stat_partial.end(), 0.0);
@@ -285,7 +288,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const Tensor& data,
                     static_cast<double>(row[j]) - comp.mean[j];
                 quad += diff * diff / comp.variance[j];
               }
-              log_terms[c] = log_weight[c] - 0.5 * (base[c] + quad);
+              log_terms[c] = log_weight[c] - 0.5 * (log_norm[c] + quad);
             }
             const double log_z = log_sum_exp(log_terms);
             ll_partial[ch] += log_z;
@@ -376,6 +379,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const Tensor& data,
     }
     prev_ll = mean_ll;
   }
+  model.cache_normalisers();
   return model;
 }
 
@@ -578,21 +582,14 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
   std::vector<double> ll_partial(max_wchunks);
   std::vector<double> nk_partial(max_wchunks * k);
   std::vector<double> stat_partial(max_wchunks * k * d);
-  std::vector<double> log_weight(k), base(k);
+  const std::vector<double>& log_weight = model.log_weight_;
+  const std::vector<double>& log_norm = model.log_norm_;
   std::vector<double> nk(k), mean_sum(k * d), var_sum(k * d);
   std::vector<double> old_mean(k * d), old_var(k * d);
   std::vector<char> dead(k);
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto& comp = model.components_[c];
-      log_weight[c] = std::log(comp.weight);
-      double log_det = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        log_det += std::log(comp.variance[j]);
-      }
-      base[c] = static_cast<double>(d) * std::log(2.0 * M_PI) + log_det;
-    }
+    model.cache_normalisers();
     // Snapshot the pre-update parameters: the variance pass recomputes
     // responsibilities against these after the means have moved.
     for (std::size_t c = 0; c < k; ++c) {
@@ -633,7 +630,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
                           static_cast<double>(row[j]) - mu[j];
                       quad += diff * diff / va[j];
                     }
-                    log_terms[c] = log_weight[c] - 0.5 * (base[c] + quad);
+                    log_terms[c] = log_weight[c] - 0.5 * (log_norm[c] + quad);
                   }
                   const double log_z = log_sum_exp(log_terms);
                   ll_partial[ch] += log_z;
@@ -703,7 +700,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
                           static_cast<double>(row[j]) - mu[j];
                       quad += diff * diff / va[j];
                     }
-                    log_terms[c] = log_weight[c] - 0.5 * (base[c] + quad);
+                    log_terms[c] = log_weight[c] - 0.5 * (log_norm[c] + quad);
                   }
                   const double log_z = log_sum_exp(log_terms);
                   for (std::size_t c = 0; c < k; ++c) {
@@ -752,6 +749,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
     }
     prev_ll = mean_ll;
   }
+  model.cache_normalisers();
   return model;
 }
 

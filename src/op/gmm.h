@@ -86,7 +86,17 @@ class GaussianMixtureModel : public OperationalProfile {
  private:
   double component_log_pdf(std::size_t k, const Tensor& x) const;
 
+  /// Recomputes log_weight_ and log_norm_ from components_. Called at
+  /// construction, at the start of every EM iteration, and once more at
+  /// the end of both fit() overloads, so every const query reads them
+  /// instead of re-deriving d + 1 logarithms per component per call.
+  void cache_normalisers();
+
   std::vector<Component> components_;
+  /// Per component: log(weight), and the Gaussian log-normaliser
+  /// d*log(2*pi) + sum_j log(variance_j), summed in j order.
+  std::vector<double> log_weight_;
+  std::vector<double> log_norm_;
 };
 
 /// (De)serialisation of a fitted GMM: a learned OP is a deployment

@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -79,7 +80,19 @@ void DetectionService::stop() {
   if (scheduler_.joinable()) scheduler_.join();
 }
 
+std::optional<std::future<DetectResult>> DetectionService::reject_malformed(
+    const Tensor& x) const {
+  if (x.rank() == 1 && x.dim(0) == model_->input_dim()) return std::nullopt;
+  std::ostringstream os;
+  os << "DetectionService expects a flat input of " << model_->input_dim()
+     << " features, got " << shape_to_string(x.shape());
+  std::promise<DetectResult> rejected;
+  rejected.set_exception(std::make_exception_ptr(PreconditionError(os.str())));
+  return rejected.get_future();
+}
+
 std::future<DetectResult> DetectionService::submit(Tensor x) {
+  if (auto rejected = reject_malformed(x)) return std::move(*rejected);
   Request request{std::move(x), {}};
   std::future<DetectResult> future = request.promise.get_future();
   OPAD_EXPECTS_MSG(queue_.push(std::move(request)),
@@ -89,6 +102,7 @@ std::future<DetectResult> DetectionService::submit(Tensor x) {
 
 std::optional<std::future<DetectResult>> DetectionService::try_submit(
     Tensor x) {
+  if (auto rejected = reject_malformed(x)) return rejected;
   Request request{std::move(x), {}};
   std::future<DetectResult> future = request.promise.get_future();
   if (!queue_.try_push(std::move(request))) {

@@ -83,11 +83,14 @@ class DetectionService {
 
   /// Blocking admission (backpressure): waits for queue space. The future
   /// resolves when the request's micro-batch has been scored. Throws
-  /// PreconditionError after stop().
+  /// PreconditionError after stop(). A malformed input (not rank 1 with
+  /// input_dim() features) is never queued: its future already holds a
+  /// PreconditionError, and it counts as neither served nor shed.
   std::future<DetectResult> submit(Tensor x);
 
   /// Shedding admission: returns nullopt when the queue is full or the
-  /// service is stopped (counted in stats().shed).
+  /// service is stopped (counted in stats().shed). Malformed inputs are
+  /// rejected exactly as in submit().
   std::optional<std::future<DetectResult>> try_submit(Tensor x);
 
   ServiceStats stats() const;
@@ -116,6 +119,11 @@ class DetectionService {
   struct Scoring {
     std::shared_ptr<const Detector> detector;
   };
+
+  /// Admission check: nullopt for a well-formed input, else a future
+  /// that already holds the PreconditionError.
+  std::optional<std::future<DetectResult>> reject_malformed(
+      const Tensor& x) const;
 
   void scheduler_loop();
   void serve_batch(std::vector<Request>& batch);

@@ -193,6 +193,22 @@ void set_gemm_kernel(GemmKernel kernel) {
   kernel_state().store(kernel, std::memory_order_relaxed);
 }
 
+std::size_t gemm_work(std::size_t m, std::size_t n, std::size_t k) {
+  // Relative costs fitted to serial timings of ~100 shapes: a packed
+  // element (scalar strided gather) costs about 64 multiply-adds, a C
+  // element written back (load, add, store) about 16.
+  constexpr std::size_t kPackCost = 64;
+  constexpr std::size_t kStoreCost = 16;
+  const std::size_t rows = (m + kMr - 1) / kMr * kMr;
+  const std::size_t cols = (n + detail::kNrWide - 1) / detail::kNrWide *
+                           detail::kNrWide;
+  const std::size_t tiles_m = (m + kMc - 1) / kMc;
+  const std::size_t tiles_n = (n + kNc - 1) / kNc;
+  const std::size_t k_blocks = (k + kKc - 1) / kKc;
+  return rows * cols * k + kStoreCost * rows * cols * k_blocks +
+         kPackCost * (rows * tiles_n + cols * tiles_m) * k;
+}
+
 std::size_t gemm_small_path_limit() {
   return small_path_limit_state().load(std::memory_order_relaxed);
 }
@@ -237,9 +253,9 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
   const std::size_t tiles_n = (n + kNc - 1) / kNc;
   // One chunk per C tile: the grid depends only on (m, n), and a tile's
   // packing + accumulation happen entirely inside its chunk, so the
-  // result is independent of OPAD_THREADS by construction.
-  parallel_for(0, tiles_m * tiles_n, 1,
-               [&](std::size_t lo, std::size_t hi) {
+  // result is independent of OPAD_THREADS by construction — and of
+  // whether the work gate below runs the grid inline or on the pool.
+  const auto run_tiles = [&](std::size_t lo, std::size_t hi) {
     auto workspace =
         ScratchArena::local().lease_floats(kMc * kKc + kNc * kKc, bp_align);
     float* ap = workspace.data();
@@ -270,7 +286,14 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
         }
       }
     }
-  });
+  };
+  // Work gate: a shape-only estimate, never the thread count, decides
+  // whether the pool dispatch pays for itself.
+  if (gemm_work(m, n, k) < kGemmInlineWork) {
+    run_tiles(0, tiles_m * tiles_n);
+  } else {
+    parallel_for(0, tiles_m * tiles_n, 1, run_tiles);
+  }
 }
 
 }  // namespace opad

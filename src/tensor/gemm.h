@@ -92,6 +92,21 @@ std::size_t gemm_small_path_limit();
 /// force one route over the qualifying shapes).
 void set_gemm_small_path_limit(std::size_t mnk_limit);
 
+/// Work estimate of one packed-route gemm() call, in padded
+/// multiply-adds: rows rounded up to the micro-kernel height, columns to
+/// the widest panel, plus weighted costs for packing A (once per column
+/// tile) and B (once per row tile) and for writing C back once per k
+/// block. A pure function of the shape. See DESIGN.md "GEMM kernel".
+std::size_t gemm_work(std::size_t m, std::size_t n, std::size_t k);
+
+/// gemm() runs its C-tile grid inline on the caller, instead of
+/// dispatching it to the thread pool, when gemm_work(m, n, k) is below
+/// this. Measured on a 4-core AVX-512 host: waking and joining the pool
+/// costs 10-35 us, which splitting the product repays only beyond about
+/// 2.5M units. The grid itself is unchanged, so the gate never changes a
+/// result.
+inline constexpr std::size_t kGemmInlineWork = 2'500'000;
+
 /// C += op(A) * op(B) where op(A) is [m, k], op(B) is [k, n] and C is a
 /// dense row-major [m, n] buffer the caller has initialised (matmul
 /// zero-fills it). `trans_a` == kTranspose means `a` is stored [k, m];

@@ -15,6 +15,8 @@
 #include "op/histogram.h"
 #include "op/kde.h"
 #include "reliability/cell_model.h"
+#include "serve/detector.h"
+#include "serve/service.h"
 #include "tensor/tensor_ops.h"
 #include "test_helpers.h"
 
@@ -155,6 +157,58 @@ TEST(FailureInjection, MethodContextMissingPiecesRejected) {
 
 TEST(FailureInjection, DensityNaturalnessNullProfileRejected) {
   EXPECT_THROW(DensityNaturalness{nullptr}, PreconditionError);
+}
+
+TEST(FailureInjection, ServiceRejectsMalformedRequestAndKeepsServing) {
+  // A wrong-sized request used to reach Tensor::set_row on the scheduler
+  // thread and terminate the process. Now only its own future fails.
+  auto task = testing::make_ring_task(200, 40, 37);
+  Rng train_rng(38);
+  Classifier model = testing::train_mlp(task.train, 8, 5, train_rng);
+  GmmConfig gmm_config;
+  gmm_config.components = 3;
+  Rng fit_rng(39);
+  const ProfilePtr profile = std::make_shared<const GaussianMixtureModel>(
+      GaussianMixtureModel::fit(task.train.inputs(), gmm_config, fit_rng));
+  const double tau = -4.0;
+  const std::size_t dim = task.train.dim();
+  serve::DetectionService service(model.clone(), profile, tau,
+                                  serve::ServiceConfig{});
+  service.start();
+
+  std::vector<Tensor> inputs;
+  std::vector<std::future<serve::DetectResult>> futures;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto row = task.test.row(i);
+    inputs.emplace_back(Shape{dim},
+                        std::vector<float>(row.begin(), row.end()));
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    futures.push_back(service.submit(inputs[i]));
+  }
+  auto wrong_size = service.submit(Tensor({dim + 3}));
+  auto wrong_rank = service.try_submit(Tensor({1, dim}));
+  for (std::size_t i = 3; i < 6; ++i) {
+    futures.push_back(service.submit(inputs[i]));
+  }
+
+  EXPECT_THROW(wrong_size.get(), PreconditionError);
+  ASSERT_TRUE(wrong_rank.has_value());  // rejected, not shed
+  EXPECT_THROW(wrong_rank->get(), PreconditionError);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    serve::DetectResult want;
+    Classifier replica = model.clone();
+    serve::score_batch(replica, *profile, tau,
+                       inputs[i].reshaped({1, dim}),
+                       std::span<serve::DetectResult>(&want, 1));
+    const serve::DetectResult got = futures[i].get();
+    EXPECT_EQ(got.label, want.label) << "request " << i;
+    EXPECT_EQ(got.naturalness, want.naturalness) << "request " << i;
+    EXPECT_EQ(got.natural, want.natural) << "request " << i;
+  }
+  service.stop();
+  EXPECT_EQ(service.stats().served, inputs.size());
+  EXPECT_EQ(service.stats().shed, 0u);
 }
 
 TEST(FailureInjection, ProjectionDegenerateEpsKeepsSeed) {

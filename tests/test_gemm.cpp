@@ -214,29 +214,43 @@ TEST(GemmOracle, OddShapeTailPanelsWithNonFiniteEdges) {
 TEST(GemmDeterminism, BitIdenticalAcrossThreadCounts) {
   GlobalPoolGuard guard;
   Rng rng(77);
-  // Multiple C tiles in both dimensions plus two k blocks, so the
-  // parallel tile grid is actually exercised.
-  const std::size_t m = 100, k = 300, n = 70;
+  struct GemmShape {
+    std::size_t m, n, k;
+  };
+  // (100, 70, 300) has multiple C tiles in both dimensions plus two k
+  // blocks. The next eight are the shapes the work gate was measured on;
+  // the last two sit just below and just above its threshold. Whichever
+  // side of the gate a shape falls, its result is the 1-thread result.
+  const std::vector<GemmShape> shapes = {
+      {100, 70, 300}, {64, 64, 32},   {64, 10, 32},  {96, 64, 64},
+      {150, 64, 64},  {4096, 24, 2},  {1275, 64, 64}, {1275, 10, 64},
+      {4096, 3, 24},  {156, 64, 64},  {162, 64, 64}};
+  EXPECT_LT(gemm_work(156, 64, 64), kGemmInlineWork);
+  EXPECT_GE(gemm_work(162, 64, 64), kGemmInlineWork);
   std::vector<Tensor> as, bs;
-  for (Variant v : kVariants) {
-    as.push_back(Tensor::randn(stored_a(v, m, k), rng));
-    bs.push_back(Tensor::randn(stored_b(v, k, n), rng));
+  for (const GemmShape& s : shapes) {
+    for (Variant v : kVariants) {
+      as.push_back(Tensor::randn(stored_a(v, s.m, s.k), rng));
+      bs.push_back(Tensor::randn(stored_b(v, s.k, s.n), rng));
+    }
   }
   const Tensor wide = Tensor::randn({90, 130}, rng);
 
   ThreadPool::configure_global(1);
   std::vector<Tensor> baseline;
-  for (std::size_t i = 0; i < 3; ++i) {
-    baseline.push_back(run_variant(kVariants[i], as[i], bs[i]));
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    baseline.push_back(run_variant(kVariants[i % 3], as[i], bs[i]));
   }
   const Tensor wide_t = transpose(wide);
 
-  for (std::size_t threads : {2u, 8u}) {
+  for (std::size_t threads : {2u, 4u, 8u}) {
     ThreadPool::configure_global(threads);
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < as.size(); ++i) {
+      const GemmShape& s = shapes[i / 3];
       EXPECT_TRUE(bitwise_equal(baseline[i],
-                                run_variant(kVariants[i], as[i], bs[i])))
-          << variant_name(kVariants[i]) << " threads=" << threads;
+                                run_variant(kVariants[i % 3], as[i], bs[i])))
+          << variant_name(kVariants[i % 3]) << " (" << s.m << ", " << s.n
+          << ", " << s.k << ") threads=" << threads;
     }
     EXPECT_TRUE(bitwise_equal(wide_t, transpose(wide))) << threads;
   }

@@ -1,11 +1,16 @@
 #include "op/gmm.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "data/stream.h"
 #include "test_helpers.h"
+#include "util/special_math.h"
 
 namespace opad {
 namespace {
@@ -213,6 +218,77 @@ TEST(GmmFit, TraceRecordsMonotonishLikelihoodPerIteration) {
   // returned model is one M step newer and must score at least as well.
   EXPECT_GE(gmm.mean_log_likelihood(data.inputs()),
             trace.mean_log_likelihood.back() - 1e-6);
+}
+
+/// log p(x | component), re-derived on every call from components() —
+/// the formula the cached normalisers must reproduce bit for bit.
+double per_call_log_pdf(const GaussianMixtureModel::Component& c,
+                        const Tensor& x) {
+  double quad = 0.0, log_det = 0.0;
+  for (std::size_t j = 0; j < c.mean.size(); ++j) {
+    const double d = static_cast<double>(x.at(j)) - c.mean[j];
+    quad += d * d / c.variance[j];
+    log_det += std::log(c.variance[j]);
+  }
+  return -0.5 * (static_cast<double>(c.mean.size()) * std::log(2.0 * M_PI) +
+                 log_det + quad);
+}
+
+void expect_per_call_formula(const GaussianMixtureModel& gmm, Rng& rng) {
+  const auto& comps = gmm.components();
+  for (int trial = 0; trial < 8; ++trial) {
+    const Tensor x = Tensor::randn({gmm.dim()}, rng, 0.0f, 2.0f);
+    std::vector<double> log_terms(comps.size());
+    double density = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < comps.size(); ++k) {
+      log_terms[k] = std::log(comps[k].weight) + per_call_log_pdf(comps[k], x);
+      density = log_add_exp(density, log_terms[k]);
+    }
+    const double log_z = log_sum_exp(log_terms);
+    std::vector<double> resp(comps.size());
+    Tensor grad({gmm.dim()});
+    for (std::size_t k = 0; k < comps.size(); ++k) {
+      resp[k] = std::exp(log_terms[k] - log_z);
+      for (std::size_t j = 0; j < gmm.dim(); ++j) {
+        grad.at(j) += static_cast<float>(
+            resp[k] * -(static_cast<double>(x.at(j)) - comps[k].mean[j]) /
+            comps[k].variance[j]);
+      }
+    }
+    EXPECT_EQ(gmm.log_density(x), density) << "trial " << trial;
+    EXPECT_EQ(gmm.responsibilities(x), resp) << "trial " << trial;
+    const Tensor got = gmm.log_density_gradient(x);
+    EXPECT_EQ(std::memcmp(got.data().data(), grad.data().data(),
+                          grad.size() * sizeof(float)),
+              0)
+        << "trial " << trial;
+  }
+}
+
+TEST(Gmm, CachedNormalisersMatchPerCallFormula) {
+  // Every query reads log-weights and log-normalisers cached at
+  // construction and at the end of each fit; the results must equal the
+  // per-call formula bitwise, whichever way the model was made.
+  Rng rng(8);
+  expect_per_call_formula(two_component_model(), rng);
+
+  const auto generator = GaussianClustersGenerator::make_ring(3, 2.0, 0.4);
+  const Dataset data = generator.make_dataset(300, rng);
+  GmmConfig config;
+  config.components = 4;
+  config.max_iterations = 12;
+  Rng fit_rng(9);
+  const auto in_core = GaussianMixtureModel::fit(data.inputs(), config, fit_rng);
+  expect_per_call_formula(in_core, rng);
+
+  const InCoreSampleStream stream(data, 64);
+  Rng stream_rng(9);
+  expect_per_call_formula(GaussianMixtureModel::fit(stream, config, stream_rng),
+                          rng);
+
+  std::stringstream bytes;
+  save_gmm(in_core, bytes);
+  expect_per_call_formula(load_gmm(bytes), rng);
 }
 
 TEST(GmmFit, RejectsTooFewSamples) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "nn/activation.h"
+#include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/loss.h"
 #include "test_helpers.h"
 
 namespace opad {
@@ -156,7 +158,7 @@ TEST(Classifier, InputGradientBatchBitIdenticalToRowByRow) {
     const Tensor batched = model.input_gradient_batch(x, ys);
     EXPECT_EQ(model.query_count(), x.dim(0));  // one query per row
     ASSERT_EQ(batched.shape(), (Shape{17, 6}));
-    // Parameter gradients are scratch and must be left zeroed.
+    // Parameter gradients are never touched: a fresh model's stay zero.
     for (Tensor* g : model.network().gradients()) {
       for (float v : g->data()) ASSERT_EQ(v, 0.0f);
     }
@@ -222,13 +224,72 @@ TEST(Classifier, InputGradientMatchesFiniteDifference) {
   }
 }
 
+/// 1x6x6 images -> Conv2D(3 ch, 3x3, pad 1) -> ReLU -> MaxPool 2 -> Dense.
+Classifier make_small_cnn(Rng& rng) {
+  Sequential net(36);
+  auto& conv = net.emplace<Conv2D>(ImageGeometry{1, 6, 6}, 3, 3, 1, 1, rng);
+  net.emplace<ReLU>();
+  net.emplace<MaxPool2D>(conv.output_geometry(), 2);
+  net.emplace<Dense>(3 * 3 * 3, 4, rng);
+  return Classifier(std::move(net), 4);
+}
+
+bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Classifier, InputGradientsEqualFullBackwardInputGradient) {
+  // The input-only backward skips the parameter half of every layer; the
+  // input gradient it returns must still be the full backward's, bit for
+  // bit, through Dense and through Conv2D + MaxPool2D.
+  Rng rng(14);
+  std::vector<Classifier> models;
+  models.push_back(testing::make_mlp(36, 16, 4, rng));
+  models.push_back(make_small_cnn(rng));
+  for (Classifier& model : models) {
+    const Tensor x = Tensor::randn({7, 36}, rng);
+    const std::vector<int> ys = {0, 1, 2, 3, 0, 1, 2};
+    const Tensor out = model.network().forward(x, /*training=*/true);
+    const Tensor full = model.network().backward(
+        SoftmaxCrossEntropy{}.gradient_per_sample(out, ys));
+    const Tensor batched = model.input_gradient_batch(x, ys);
+    EXPECT_TRUE(bitwise_equal(full.data(), batched.data()));
+    for (std::size_t i = 0; i < x.dim(0); ++i) {
+      EXPECT_TRUE(bitwise_equal(full.row_span(i),
+                                model.input_gradient(x.row(i), ys[i]).data()))
+          << model.network().layer_names().front() << " row " << i;
+    }
+  }
+}
+
 TEST(Classifier, InputGradientLeavesParamGradientsZero) {
   Rng rng(12);
-  Classifier model = testing::make_mlp(4, 8, 3, rng);
-  model.input_gradient(Tensor::randn({4}, rng), 2);
-  for (Tensor* g : model.network().gradients()) {
-    for (std::size_t i = 0; i < g->size(); ++i) {
-      ASSERT_EQ(g->at(i), 0.0f);
+  std::vector<Classifier> models;
+  models.push_back(testing::make_mlp(36, 8, 4, rng));
+  models.push_back(make_small_cnn(rng));
+  for (Classifier& model : models) {
+    // A fresh model's zero gradients stay zero.
+    model.input_gradient(Tensor::randn({36}, rng), 2);
+    for (Tensor* g : model.network().gradients()) {
+      for (std::size_t i = 0; i < g->size(); ++i) {
+        ASSERT_EQ(g->at(i), 0.0f);
+      }
+    }
+    // Gradients a training step accumulated survive attack calls bitwise.
+    const Tensor batch = Tensor::randn({5, 36}, rng);
+    const std::vector<int> labels = {0, 1, 2, 3, 1};
+    model.accumulate_gradients(batch, labels);
+    std::vector<Tensor> accumulated;
+    for (Tensor* g : model.network().gradients()) accumulated.push_back(*g);
+    model.input_gradient(Tensor::randn({36}, rng), 1);
+    model.input_gradient_batch(batch, labels);
+    const auto grads = model.network().gradients();
+    ASSERT_EQ(grads.size(), accumulated.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      EXPECT_GT(accumulated[i].l2_norm(), 0.0) << "gradient " << i;
+      EXPECT_TRUE(bitwise_equal(grads[i]->data(), accumulated[i].data()))
+          << model.network().layer_names().front() << " gradient " << i;
     }
   }
 }
