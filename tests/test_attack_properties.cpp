@@ -4,6 +4,8 @@
 // misclassified. These are the invariants the rest of the system builds
 // on (verdicts, budget accounting, retraining labels).
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,13 @@ struct AttackCase {
   std::string name;
   float eps;
 };
+
+// Without this, gtest prints the case as a raw byte dump, which embeds the
+// std::string's heap pointer: the listed test name would change from one
+// build (or ASLR draw) to the next.
+void PrintTo(const AttackCase& c, std::ostream* os) {
+  *os << c.name << " eps=" << c.eps;
+}
 
 class AttackInvariants : public ::testing::TestWithParam<AttackCase> {
  protected:
