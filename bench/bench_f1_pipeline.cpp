@@ -11,11 +11,6 @@
 // claim brackets the true unastuteness from above, and the loop stops
 // when the claim meets the target.
 //
-// After the headline run, an overlap study re-executes the same pipeline
-// in serial-reference mode and in stage-graph mode at several overlap
-// depths, asserts the results are payload-identical, and reports where
-// the wall-clock went per stage (mirrored to f1_stage_trace.csv).
-//
 // Usage: bench_f1_pipeline [--smoke]
 //   --smoke   seconds-scale variant of the same runs (used by the CI
 //             TSan soak leg); numbers from smoke mode are not meaningful
@@ -26,7 +21,6 @@
 #include "bench_common.h"
 #include "attack/pgd.h"
 #include "core/pipeline.h"
-#include "nn/serialize.h"
 #include "reliability/ground_truth.h"
 #include "util/stopwatch.h"
 
@@ -113,9 +107,6 @@ int main(int argc, char** argv) {
   probe_config.restarts = 1;
   const Pgd probe(probe_config);
 
-  // Initial weights, restored for every overlap-study re-run below.
-  const auto initial_weights = snapshot_parameters(w.model->network());
-
   Rng gt_rng(99);
   const double unastute_before = true_unastuteness(
       *w.model, *w.op_generator, probe, oracle_probes, gt_rng);
@@ -159,79 +150,6 @@ int main(int argc, char** argv) {
               "claim_upper95", "true_unastute", "true_clean_pmi",
               "cum_queries"},
              csv_rows);
-
-  // ---- Overlap study: the same pipeline re-run from the initial
-  // weights, without the oracle callback — serial reference vs stage
-  // graph at several overlap depths. The determinism contract makes the
-  // results payload-identical (checked below); only the wall-clock and
-  // the per-stage attribution move.
-  std::cout << "\noverlap study (same run, fresh model, no oracle):\n\n";
-  struct StudyMode {
-    const char* label;
-    sched::ExecutionMode mode;
-    std::size_t overlap;
-  };
-  const StudyMode modes[] = {
-      {"serial-ref", sched::ExecutionMode::kSerialReference, 0},
-      {"graph-ov0", sched::ExecutionMode::kStageGraph, 0},
-      {"graph-ov2", sched::ExecutionMode::kStageGraph, 2},
-      {"graph-ov4", sched::ExecutionMode::kStageGraph, 4},
-  };
-  Table study({"mode", "overlap", "wall_s", "speedup", "queries", "AEs"});
-  std::vector<std::vector<std::string>> study_rows;
-  std::vector<std::vector<std::string>> trace_rows;
-  double serial_wall = 0.0;
-  std::uint64_t ref_queries = 0;
-  std::size_t ref_aes = 0;
-  for (const StudyMode& m : modes) {
-    Classifier study_model = w.model->clone();
-    restore_parameters(study_model.network(), initial_weights);
-    PipelineConfig study_config = config;
-    study_config.execution.mode = m.mode;
-    study_config.execution.overlap = m.overlap;
-    Rng study_rng(7);
-    Stopwatch study_watch;
-    const PipelineResult study_result = OpTestingPipeline(study_config)
-        .run(study_model, w.operational_sample, study_rng);
-    const double wall = study_watch.seconds();
-    if (m.mode == sched::ExecutionMode::kSerialReference) {
-      serial_wall = wall;
-      ref_queries = study_result.total_queries;
-      ref_aes = study_result.all_aes.size();
-    } else if (study_result.total_queries != ref_queries ||
-               study_result.all_aes.size() != ref_aes) {
-      std::cerr << "BUG: " << m.label
-                << " diverged from the serial reference\n";
-      return 1;
-    }
-    std::vector<std::string> row = {
-        m.label, std::to_string(m.overlap), Table::num(wall, 2),
-        Table::num(serial_wall / wall, 2),
-        std::to_string(study_result.total_queries),
-        std::to_string(study_result.all_aes.size())};
-    study.add_row(row);
-    study_rows.push_back(row);
-    for (const auto& stage : study_result.trace.stages) {
-      trace_rows.push_back({m.label, std::to_string(m.overlap),
-                            std::to_string(study_result.trace.workers),
-                            stage.name, std::to_string(stage.items),
-                            std::to_string(stage.rows),
-                            std::to_string(stage.busy_us),
-                            std::to_string(stage.peak_queue),
-                            std::to_string(study_result.trace.wall_us)});
-    }
-  }
-  emit_table(study, smoke ? "f1_overlap_study_smoke" : "f1_overlap_study",
-             {"mode", "overlap", "wall_s", "speedup", "queries", "aes"},
-             study_rows);
-  std::cout << "\n";
-  Table trace_table({"mode", "overlap", "workers", "stage", "items", "rows",
-                     "busy_us", "peak_queue", "graph_wall_us"});
-  for (const auto& row : trace_rows) trace_table.add_row(row);
-  emit_table(trace_table, smoke ? "f1_stage_trace_smoke" : "f1_stage_trace",
-             {"mode", "overlap", "workers", "stage", "items", "rows",
-              "busy_us", "peak_queue", "graph_wall_us"},
-             trace_rows);
   std::cout << "\n";
 
   std::cout << "stopping rule: target pmi " << config.rq5.target_pmi

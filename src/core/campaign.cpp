@@ -1,8 +1,5 @@
 #include "core/campaign.h"
 
-#include <utility>
-#include <vector>
-
 namespace opad {
 
 CampaignResult run_detect_retrain_campaign(Classifier& model,
@@ -16,81 +13,22 @@ CampaignResult run_detect_retrain_campaign(Classifier& model,
   const std::uint64_t per_round = config.query_budget / config.rounds;
 
   CampaignResult result;
-  if (config.execution.mode == sched::ExecutionMode::kSerialReference) {
-    // Pre-refactor loop, kept as the determinism oracle the stage graph
-    // is pinned against.
-    for (std::size_t round = 0; round < config.rounds; ++round) {
-      // Independent, deterministic streams per round.
-      Rng detect_rng(config.base_seed * 1000003u + round);
-      const Detection detection =
-          method.detect(model, context, per_round, detect_rng);
-      Rng retrain_rng(config.base_seed * 7919u + round);
-      const RetrainResult retrain =
-          retrainer.retrain(model, anchor, detection.aes, retrain_rng);
+  for (std::size_t round = 0; round < config.rounds; ++round) {
+    // Independent, deterministic streams per round.
+    Rng detect_rng(config.base_seed * 1000003u + round);
+    const Detection detection =
+        method.detect(model, context, per_round, detect_rng);
+    Rng retrain_rng(config.base_seed * 7919u + round);
+    const RetrainResult retrain =
+        retrainer.retrain(model, anchor, detection.aes, retrain_rng);
 
-      CampaignRound record;
-      record.round = round;
-      record.detection = detection.stats;
-      record.retrain = retrain;
-      result.rounds.push_back(record);
-      result.totals += detection.stats;
-    }
-    return result;
+    CampaignRound record;
+    record.round = round;
+    record.detection = detection.stats;
+    record.retrain = retrain;
+    result.rounds.push_back(record);
+    result.totals += detection.stats;
   }
-
-  // Stage-graph execution. The loop-carried dependency is explicit:
-  // detect round r+1 needs the weights retrain round r produced
-  // (connect_offset), and detect/retrain are exclusive stages because
-  // they mutate `model` in place and parallelise internally. The
-  // per-round stats fold trails in a serial record lane. Per-round rng
-  // streams are seeded exactly as the serial loop's, so the result is
-  // bit-identical at any overlap.
-  std::vector<Detection> detections(config.rounds);
-  std::vector<RetrainResult> retrains(config.rounds);
-
-  sched::StageGraph graph;
-  sched::StageId detect_id = 0, retrain_id = 0, record_id = 0;
-  detect_id = graph.add_stage(
-      "detect", config.rounds, sched::StageKind::kExclusive,
-      [&](std::size_t round) {
-        Rng detect_rng(config.base_seed * 1000003u + round);
-        detections[round] =
-            method.detect(model, context, per_round, detect_rng);
-        graph.add_rows(detect_id, detections[round].aes.size());
-      });
-  retrain_id = graph.add_stage(
-      "retrain", config.rounds, sched::StageKind::kExclusive,
-      [&](std::size_t round) {
-        Rng retrain_rng(config.base_seed * 7919u + round);
-        retrains[round] = retrainer.retrain(model, anchor,
-                                            detections[round].aes,
-                                            retrain_rng);
-        graph.add_rows(retrain_id, detections[round].aes.size());
-      });
-  record_id = graph.add_stage(
-      "record", config.rounds, sched::StageKind::kSerial,
-      [&](std::size_t round) {
-        CampaignRound record;
-        record.round = round;
-        record.detection = detections[round].stats;
-        record.retrain = retrains[round];
-        result.rounds.push_back(record);
-        result.totals += detections[round].stats;
-        graph.add_rows(record_id, 1);
-        // The round's AEs are folded into the model; drop them as soon
-        // as the record lane has passed so long campaigns do not retain
-        // every adversarial tensor.
-        detections[round].aes.clear();
-        detections[round].aes.shrink_to_fit();
-      });
-
-  graph.connect(detect_id, retrain_id);
-  graph.connect(retrain_id, record_id);
-  graph.connect_offset(retrain_id, detect_id, 1);  // round r+1 <- round r
-
-  sched::RunOptions options;
-  options.overlap = config.execution.overlap;
-  result.trace = graph.run(options);
   return result;
 }
 

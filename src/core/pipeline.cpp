@@ -1,36 +1,13 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "attack/pgd.h"
 #include "naturalness/density_naturalness.h"
-#include "sched/reorder.h"
 #include "util/logging.h"
 
 namespace opad {
-
-namespace {
-
-std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
-
-/// Single-stage trace entry for work done outside a StageGraph run (seed
-/// sampling happens on the caller before the iteration graph is built,
-/// because the sample decides the graph's chunk count).
-sched::StageTrace step_trace(const char* name, std::size_t rows,
-                             std::uint64_t busy_us) {
-  sched::StageTrace trace;
-  trace.stages.push_back({name, 1, rows, busy_us, 0});
-  return trace;
-}
-
-}  // namespace
 
 OpTestingPipeline::OpTestingPipeline(PipelineConfig config)
     : config_(std::move(config)) {
@@ -48,8 +25,6 @@ PipelineResult OpTestingPipeline::run(Classifier& model,
   OPAD_EXPECTS(!operational_sample.empty());
   PipelineResult result;
   BudgetTracker budget(config_.query_budget);
-  const bool graph_mode =
-      config_.execution.mode == sched::ExecutionMode::kStageGraph;
 
   // ---- Step 1 (RQ1): learn the OP, synthesise the operational dataset.
   OperationalLearningResult op = learn_operational_profile(
@@ -85,26 +60,13 @@ PipelineResult OpTestingPipeline::run(Classifier& model,
 
   std::vector<std::size_t> allocation;  // RQ5 -> RQ2 feedback
 
-  // Retention cap: stats stay uncapped, the retained AE list is bounded.
-  // Both execution modes append in canonical seed order, so the capped
-  // prefix is identical too.
-  const auto retain_ae = [&](OperationalAE&& ae) {
-    if (config_.max_retained_aes == 0 ||
-        result.all_aes.size() < config_.max_retained_aes) {
-      result.all_aes.push_back(std::move(ae));
-    }
-  };
-
   // ---- Steps 2-5, iterated.
   for (std::size_t iter = 0; iter < config_.max_iterations; ++iter) {
     if (budget.exhausted()) break;
     IterationRecord record;
     record.iteration = iter;
 
-    // Step 2 (RQ2): seed selection. Runs on the caller ahead of the
-    // iteration graph — the sample fixes the graph's chunk count — and
-    // consumes the shared rng exactly as the serial reference does.
-    const auto sample_start = std::chrono::steady_clock::now();
+    // Step 2 (RQ2): seed selection.
     const std::size_t want =
         std::min(config_.seeds_per_iteration, op_data.size());
     std::vector<std::size_t> seeds;
@@ -115,129 +77,31 @@ PipelineResult OpTestingPipeline::run(Classifier& model,
     } else {
       seeds = sampler.sample(model, op_data, want, rng);
     }
-    result.trace.merge(
-        step_trace("sample", seeds.size(), elapsed_us(sample_start)));
 
-    if (graph_mode) {
-      // ---- Steps 3-5 as one stage graph per iteration. Chunk bodies of
-      // the parallel stages are pure (replica model, per-seed streams
-      // from `stream_base`); every stats/budget/AE fold lives in the
-      // serial fold/collect lane in ascending chunk order; retrain and
-      // assess run exclusively on this thread, touching the shared rng in
-      // the same sequence as the serial reference. Hand-offs go through
-      // ReorderWindows so completion order never leaks into consumption
-      // order.
-      const std::uint64_t stream_base = rng();
-      const std::size_t lane = generator.lane_width();
-      const std::size_t chunk_count = generator.chunk_count(seeds.size());
+    // Step 3 (RQ3): naturalness-guided fuzzing.
+    Detection detection =
+        generator.generate(model, op_data, seeds, budget, rng);
+    record.detection = detection.stats;
 
-      sched::ReorderWindow<std::vector<SeedAttackOutcome>> fuzzed(
-          std::max<std::size_t>(chunk_count, 1));
-      sched::ReorderWindow<std::vector<SeedAttackOutcome>> scored(
-          std::max<std::size_t>(chunk_count, 1));
-      sched::ReorderWindow<std::vector<OperationalAE>> folded(
-          std::max<std::size_t>(chunk_count, 1));
-      std::vector<OperationalAE> op_aes;
-
-      sched::StageGraph graph;
-      sched::StageId fuzz_id = 0, score_id = 0, fold_id = 0, collect_id = 0;
-      const auto bounds = [&](std::size_t c) {
-        const std::size_t lo = c * lane;
-        return std::pair<std::size_t, std::size_t>(
-            lo, std::min(lo + lane, seeds.size()));
-      };
-
-      fuzz_id = graph.add_stage(
-          "fuzz", chunk_count, sched::StageKind::kParallel,
-          [&](std::size_t c) {
-            const auto [lo, hi] = bounds(c);
-            fuzzed.put(c, generator.attack_chunk(model, op_data, seeds, lo,
-                                                 hi, stream_base));
-            graph.add_rows(fuzz_id, hi - lo);
-          });
-      score_id = graph.add_stage(
-          "score", chunk_count, sched::StageKind::kParallel,
-          [&](std::size_t c) {
-            std::vector<SeedAttackOutcome> outcomes = fuzzed.take(c);
-            generator.score_chunk(outcomes);
-            graph.add_rows(score_id, outcomes.size());
-            scored.put(c, std::move(outcomes));
-          });
-      fold_id = graph.add_stage(
-          "fold", chunk_count, sched::StageKind::kSerial,
-          [&](std::size_t c) {
-            std::vector<SeedAttackOutcome> outcomes = scored.take(c);
-            graph.add_rows(fold_id, outcomes.size());
-            folded.put(c, generator.fold_chunk(outcomes, model, budget,
-                                               record.detection));
-          });
-      collect_id = graph.add_stage(
-          "collect", chunk_count, sched::StageKind::kSerial,
-          [&](std::size_t c) {
-            std::vector<OperationalAE> accepted = folded.take(c);
-            graph.add_rows(collect_id, accepted.size());
-            for (OperationalAE& ae : accepted) {
-              if (ae.is_operational) op_aes.push_back(ae);
-              retain_ae(std::move(ae));
-            }
-          });
-      sched::StageId retrain_id = 0, assess_id = 0;
-      retrain_id = graph.add_stage(
-          "retrain", 1, sched::StageKind::kExclusive, [&](std::size_t) {
-            record.retrain = retrainer.retrain(model, op_data, op_aes, rng);
-            graph.add_rows(retrain_id, op_aes.size());
-          });
-      assess_id = graph.add_stage(
-          "assess", 1, sched::StageKind::kExclusive, [&](std::size_t) {
-            record.assessment = assessor.assess(model, op_data, budget, rng);
-            allocation =
-                assessor.feedback_allocation(config_.seeds_per_iteration);
-            graph.add_rows(assess_id, 1);
-          });
-
-      graph.connect(fuzz_id, score_id);
-      graph.connect(score_id, fold_id);
-      graph.connect(fold_id, collect_id);
-      graph.connect_barrier(collect_id, retrain_id);
-      graph.connect(retrain_id, assess_id);
-      graph.set_queue_probe(score_id, [&] { return fuzzed.peak_size(); });
-      graph.set_queue_probe(fold_id, [&] { return scored.peak_size(); });
-      graph.set_queue_probe(collect_id, [&] { return folded.peak_size(); });
-
-      sched::RunOptions options;
-      options.overlap = config_.execution.overlap;
-      result.trace.merge(graph.run(options));
-    } else {
-      // ---- Serial reference: the pre-refactor walk, kept as the
-      // determinism oracle the stage graph is pinned against.
-      auto step_start = std::chrono::steady_clock::now();
-
-      // Step 3 (RQ3): naturalness-guided fuzzing.
-      Detection detection =
-          generator.generate(model, op_data, seeds, budget, rng);
-      record.detection = detection.stats;
-      result.trace.merge(
-          step_trace("generate", seeds.size(), elapsed_us(step_start)));
-
-      // Step 4 (RQ4): OP-weighted adversarial retraining on op. AEs.
-      step_start = std::chrono::steady_clock::now();
-      std::vector<OperationalAE> op_aes;
-      for (auto& ae : detection.aes) {
-        if (ae.is_operational) op_aes.push_back(ae);
-      }
-      record.retrain = retrainer.retrain(model, op_data, op_aes, rng);
-      for (auto& ae : detection.aes) {
-        retain_ae(std::move(ae));
-      }
-      result.trace.merge(
-          step_trace("retrain", op_aes.size(), elapsed_us(step_start)));
-
-      // Step 5 (RQ5): assess the retrained model; stopping rule+feedback.
-      step_start = std::chrono::steady_clock::now();
-      record.assessment = assessor.assess(model, op_data, budget, rng);
-      allocation = assessor.feedback_allocation(config_.seeds_per_iteration);
-      result.trace.merge(step_trace("assess", 1, elapsed_us(step_start)));
+    // Step 4 (RQ4): OP-weighted adversarial retraining on op. AEs.
+    std::vector<OperationalAE> op_aes;
+    for (auto& ae : detection.aes) {
+      if (ae.is_operational) op_aes.push_back(ae);
     }
+    record.retrain = retrainer.retrain(model, op_data, op_aes, rng);
+    // Retention cap: stats stay uncapped and retraining saw every
+    // operational AE; only the retained list keeps a seed-order prefix.
+    for (auto& ae : detection.aes) {
+      if (config_.max_retained_aes != 0 &&
+          result.all_aes.size() >= config_.max_retained_aes) {
+        break;
+      }
+      result.all_aes.push_back(std::move(ae));
+    }
+
+    // Step 5 (RQ5): assess the retrained model; stopping rule+feedback.
+    record.assessment = assessor.assess(model, op_data, budget, rng);
+    allocation = assessor.feedback_allocation(config_.seeds_per_iteration);
 
     record.budget_used_total = budget.used();
     result.iterations.push_back(record);

@@ -14,14 +14,12 @@
 //                         bound on pmi meets the target, else feed the
 //                         posterior back into step 2.
 //
-// Execution: each iteration's steps 3-5 run as a stage graph
-// (sched/graph.h) whose fuzz / score / fold / collect stages overlap at
-// seed-chunk granularity — while the serial fold accounts chunk i, the
-// fuzzer already attacks chunk i+1 — with retraining and assessment as
-// exclusive stages that get the whole pool. The pre-refactor serial walk
-// is retained as ExecutionMode::kSerialReference; both paths are
-// bit-identical in every PipelineResult field except `trace`
-// (test-pinned at overlap {0,2,4} x OPAD_THREADS {1,8}).
+// Execution: the loop is sequential by design — each RQ5 assessment
+// picks the next RQ2 seeds — and the parallelism lives inside the steps:
+// learn (EM) and generate (one lane-chunk map over the seeds, folded in
+// seed order) run chunk maps on the global pool, and retrain and assess
+// reach it through their GEMMs. Results are bit-identical at any
+// OPAD_THREADS value (test-pinned).
 #pragma once
 
 #include <functional>
@@ -33,7 +31,6 @@
 #include "core/seed_sampler.h"
 #include "core/test_generator.h"
 #include "op/synthesizer.h"
-#include "sched/graph.h"
 
 namespace opad {
 
@@ -56,15 +53,6 @@ struct PipelineConfig {
   /// Seeds per Attack::run_batch lane group in the RQ3 fuzzing step.
   /// Purely a batching knob: results are bit-identical at any width.
   std::size_t attack_lane_width = TestCaseGenerator::kDefaultLaneWidth;
-  /// Rows per chunk when campaign stages consume a SampleStream (the
-  /// out-of-core path; see DESIGN.md "Out-of-core streaming"). Purely a
-  /// memory/throughput knob: streaming consumers are bit-identical at any
-  /// chunk size.
-  std::size_t stream_chunk_size = 4096;
-  /// Stage-graph vs serial-reference execution, and the overlap depth.
-  /// Purely a scheduling knob: results are bit-identical in either mode
-  /// at any overlap (only PipelineResult::trace differs).
-  sched::ExecutionPolicy execution;
   /// Cap on PipelineResult::all_aes (0 = retain everything). Detection
   /// stats stay uncapped — the cap bounds long-campaign memory, keeping
   /// the first `max_retained_aes` AEs in canonical seed order
@@ -87,12 +75,8 @@ struct PipelineResult {
   double tau = 0.0;
   std::vector<OperationalAE> all_aes;  // across iterations (capped)
   /// RQ1 GMM fit witness (empty when the OP model is a KDE): per-EM-
-  /// iteration mean log-likelihood, bit-identical across thread counts,
-  /// overlap depths and execution modes.
+  /// iteration mean log-likelihood, bit-identical across thread counts.
   GmmFitTrace gmm_trace;
-  /// Where the wall-clock went (per stage, merged across iterations).
-  /// Attribution only — excluded from the determinism contract.
-  sched::StageTrace trace;
 };
 
 class OpTestingPipeline {

@@ -21,10 +21,6 @@ TestCaseGenerator::TestCaseGenerator(AttackPtr attack, NaturalnessPtr metric,
                    "a tau threshold requires a naturalness metric");
 }
 
-std::size_t TestCaseGenerator::chunk_count(std::size_t seed_count) const {
-  return (seed_count + lane_width_ - 1) / lane_width_;
-}
-
 std::vector<SeedAttackOutcome> TestCaseGenerator::attack_chunk(
     const Classifier& model, const Dataset& pool,
     std::span<const std::size_t> seed_indices, std::size_t lo, std::size_t hi,
@@ -159,7 +155,8 @@ Detection TestCaseGenerator::generate(
   // identical for any OPAD_THREADS value and any lane width.
   const std::uint64_t stream_base = rng();
 
-  std::vector<std::vector<SeedAttackOutcome>> chunks(chunk_count(n));
+  std::vector<std::vector<SeedAttackOutcome>> chunks(
+      parallel_chunk_count(0, n, lane_width_));
   parallel_for_chunks(
       0, n, lane_width_,
       [&](std::size_t chunk, std::size_t lo, std::size_t hi) {

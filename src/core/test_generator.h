@@ -2,15 +2,11 @@
 // misclassification as operational / non-operational via the naturalness
 // threshold tau, and accounts model queries against a shared budget.
 //
-// The work is exposed at two altitudes: generate() is the one-call path
-// (one fused parallel sweep + canonical fold), while the chunk-granular
-// trio attack_chunk / score_chunk / fold_chunk are the stage bodies the
-// stage-graph pipeline (core/pipeline.cpp) wires into an overlapping
-// graph — fuzzing chunk i+1 while chunk i is scored and folded. Both
-// paths produce bit-identical Detections: per-seed rng streams derive
-// from (stream_base, global seed position), attack/score are pure
-// functions of (parameters, seed, stream), and every stats/budget/AE
-// fold happens in canonical seed order.
+// generate() maps lane-width chunks of the seed span over the global pool
+// (pre-check, lane-batched attack and naturalness scoring per chunk) and
+// then folds the chunks in seed order. Per-seed rng streams derive from
+// (stream_base, global seed position) and the chunk bodies are pure, so
+// the Detection is bit-identical at any thread count and lane width.
 #pragma once
 
 #include <optional>
@@ -23,9 +19,8 @@
 
 namespace opad {
 
-/// Everything one seed's attack produced, computed in parallel (or in an
-/// overlapped fuzz/score stage pair) and folded into the Detection
-/// sequentially, in seed order.
+/// Everything one seed's attack produced, computed in parallel and folded
+/// into the Detection sequentially, in seed order.
 struct SeedAttackOutcome {
   LabeledSample seed;
   bool seed_fails = false;
@@ -68,12 +63,10 @@ class TestCaseGenerator {
                      std::span<const std::size_t> seed_indices,
                      BudgetTracker& budget, Rng& rng) const;
 
-  // ---- Chunk-granular stage bodies (see the stage-graph pipeline). ----
+  const Attack& attack() const { return *attack_; }
 
-  /// Chunks the seed span is split into at this generator's lane width.
-  std::size_t chunk_count(std::size_t seed_count) const;
-
-  /// Fuzz stage: batched pre-check + lane-batched attack of pool rows
+ private:
+  /// Batched pre-check + lane-batched attack of pool rows
   /// seed_indices[lo, hi); outcome j corresponds to seed_indices[lo + j].
   /// `lo`/`hi` are positions in the *whole* span so each seed's rng
   /// stream derives from its global position: derive_stream_seed(
@@ -86,25 +79,20 @@ class TestCaseGenerator {
       std::span<const std::size_t> seed_indices, std::size_t lo,
       std::size_t hi, std::uint64_t stream_base) const;
 
-  /// Score stage: naturalness + seed OP log-density of every successful
-  /// outcome (via the thread-local metric replica). Pure per outcome.
+  /// Naturalness + seed OP log-density of every successful outcome (via
+  /// the thread-local metric replica). Pure per outcome.
   void score_chunk(std::span<SeedAttackOutcome> outcomes) const;
 
-  /// Fold stage (canonical order): accounts one chunk's outcomes against
-  /// the budget in seed order — the first seed whose measured cost
-  /// exceeds remaining() is discarded and the budget marked depleted —
-  /// folds stats, charges `model`'s query counter, and returns the
-  /// accepted AEs (in seed order, is_operational already judged).
-  /// Callers must fold chunks in ascending chunk order.
+  /// Accounts one chunk's outcomes against the budget in seed order — the
+  /// first seed whose measured cost exceeds remaining() is discarded and
+  /// the budget marked depleted — folds stats, charges `model`'s query
+  /// counter, and returns the accepted AEs (in seed order, is_operational
+  /// already judged). Chunks must be folded in ascending chunk order.
   std::vector<OperationalAE> fold_chunk(std::span<SeedAttackOutcome> outcomes,
                                         Classifier& model,
                                         BudgetTracker& budget,
                                         DetectionStats& stats) const;
 
-  const Attack& attack() const { return *attack_; }
-  std::size_t lane_width() const { return lane_width_; }
-
- private:
   AttackPtr attack_;
   NaturalnessPtr metric_;
   std::optional<double> tau_;

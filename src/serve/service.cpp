@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <exception>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -117,7 +118,17 @@ void DetectionService::scheduler_loop() {
     std::vector<Request> batch = queue_.pop_batch(
         config_.max_batch, std::chrono::microseconds(config_.max_delay_us));
     if (batch.empty()) break;  // closed and drained
-    serve_batch(batch);
+    // A scoring failure fails only this micro-batch: no promise is
+    // fulfilled before scoring returns, so every one of them takes the
+    // exception, the batch is left out of the counters and the drift
+    // monitor, and the scheduler keeps serving.
+    try {
+      serve_batch(batch);
+    } catch (...) {
+      const std::exception_ptr error = std::current_exception();
+      for (Request& request : batch) request.promise.set_exception(error);
+      continue;
+    }
 
     // Drift bookkeeping happens between batches on the scheduler: feed
     // every served input in completion order, then collect any finished

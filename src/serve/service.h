@@ -32,8 +32,8 @@
 #include "nn/model.h"
 #include "nn/quantized.h"
 #include "serve/drift_trigger.h"
-#include "serve/queue.h"
 #include "serve/types.h"
+#include "util/channel.h"
 
 namespace opad::serve {
 
@@ -82,7 +82,9 @@ class DetectionService {
   void stop();
 
   /// Blocking admission (backpressure): waits for queue space. The future
-  /// resolves when the request's micro-batch has been scored. Throws
+  /// resolves when the request's micro-batch has been scored; if scoring
+  /// that batch throws, every future of the batch rethrows the exception
+  /// and the service keeps serving later batches. Throws
   /// PreconditionError after stop(). A malformed input (not rank 1 with
   /// input_dim() features) is never queued: its future already holds a
   /// PreconditionError, and it counts as neither served nor shed.
@@ -132,7 +134,7 @@ class DetectionService {
   ServiceConfig config_;
   std::unique_ptr<OnlineDriftTrigger> trigger_;
   std::atomic<std::shared_ptr<const Scoring>> scoring_;
-  BoundedQueue<Request> queue_;
+  Channel<Request> queue_;
   std::thread scheduler_;
   bool started_ = false;
 

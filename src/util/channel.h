@@ -1,19 +1,16 @@
-// Bounded typed channel — the producer→consumer hand-off primitive shared
-// by the serving layer and the stage-graph executor.
+// Bounded typed channel — the producer→consumer hand-off of the online
+// detection service (producers are request threads, the consumer is its
+// micro-batching scheduler).
 //
-// Generalised out of serve::BoundedQueue (which is now a thin alias, see
-// serve/queue.h): producers are request threads or upstream stages, the
-// consumer is a micro-batching scheduler or a downstream stage. Admission
-// is either blocking (push: backpressure — the caller waits for space) or
-// load-shedding (try_push: reject when full so the caller can fail fast).
-// Consumers drain with pop_batch, which implements the dynamic micro-batch
-// trigger: return as soon as `max_items` are available, or when
-// `max_delay` has elapsed since the first pending item was seen, whichever
-// comes first. try_pop takes a single item without blocking; the
-// stage-graph executor uses it because its admission rule guarantees a
-// scheduled consumer always finds its input already pushed.
+// Admission is either blocking (push: backpressure — the caller waits for
+// space) or load-shedding (try_push: reject when full so the caller can
+// fail fast). Consumers drain with pop_batch, which implements the
+// dynamic micro-batch trigger: return as soon as `max_items` are
+// available, or when `max_delay` has elapsed since the first pending item
+// was seen, whichever comes first.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -39,7 +36,6 @@ class Channel {
                    [&] { return closed_ || items_.size() < capacity_; });
     if (closed_) return false;
     items_.push_back(std::move(item));
-    peak_size_ = std::max(peak_size_, items_.size());
     not_empty_.notify_one();
     return true;
   }
@@ -51,24 +47,8 @@ class Channel {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
-      peak_size_ = std::max(peak_size_, items_.size());
     }
     not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking single-item take: returns false when nothing is pending
-  /// (closed or not). Never waits — callers with an external happens-
-  /// before guarantee (the stage-graph scheduler) use this so a consumer
-  /// can never block inside a pool task.
-  bool try_pop(T& out) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (items_.empty()) return false;
-      out = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.notify_all();
     return true;
   }
 
@@ -122,20 +102,12 @@ class Channel {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Highest occupancy ever observed — the StageTrace queue-occupancy
-  /// probe (how far the producer ran ahead of the consumer).
-  std::size_t peak_size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return peak_size_;
-  }
-
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
-  std::size_t peak_size_ = 0;
   bool closed_ = false;
 };
 

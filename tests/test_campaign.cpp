@@ -2,14 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "naturalness/density_naturalness.h"
 #include "nn/metrics.h"
 #include "nn/serialize.h"
 #include "op/generator_profile.h"
 #include "test_helpers.h"
+#include "util/parallel.h"
 
 namespace opad {
 namespace {
+
+/// Restores the global pool to its OPAD_THREADS / hardware default when a
+/// thread-count-sweeping test exits (also on failure).
+struct GlobalPoolGuard {
+  ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
+};
+
+void expect_stats_equal(const DetectionStats& a, const DetectionStats& b) {
+  EXPECT_EQ(a.seeds_attacked, b.seeds_attacked);
+  EXPECT_EQ(a.aes_found, b.aes_found);
+  EXPECT_EQ(a.clean_failures, b.clean_failures);
+  EXPECT_EQ(a.operational_aes, b.operational_aes);
+  EXPECT_EQ(a.queries_used, b.queries_used);
+}
 
 TEST(DetectionStats, PlusEqualsFoldsEveryField) {
   DetectionStats a;
@@ -170,6 +187,42 @@ TEST_F(CampaignTest, DeterministicGivenSeed) {
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_EQ(a.rounds[i].detection.aes_found,
               b.rounds[i].detection.aes_found);
+  }
+}
+
+TEST_F(CampaignTest, BitIdenticalAcrossThreadCounts) {
+  // Golden run: every per-round stat, the retrain losses and the totals
+  // are bit-identical at 1 and 8 threads.
+  GlobalPoolGuard guard;
+  const auto snapshot = snapshot_parameters(model_->network());
+  CampaignConfig config;
+  config.rounds = 3;
+  config.query_budget = 6000;
+  config.base_seed = 17;
+  config.retrain.epochs = 2;
+  const auto opad = make_opad_method(MethodSuiteConfig{});
+  const auto run_at = [&](std::size_t threads) {
+    ThreadPool::configure_global(threads);
+    CampaignResult result = run_detect_retrain_campaign(
+        *model_, *opad, context(), *op_data_, config);
+    restore_parameters(model_->network(), snapshot);
+    return result;
+  };
+  const CampaignResult baseline = run_at(1);
+  const CampaignResult wide = run_at(8);
+  EXPECT_GT(baseline.totals.queries_used, 0u);
+
+  expect_stats_equal(baseline.totals, wide.totals);
+  ASSERT_EQ(baseline.rounds.size(), wide.rounds.size());
+  for (std::size_t i = 0; i < baseline.rounds.size(); ++i) {
+    SCOPED_TRACE("round " + std::to_string(i));
+    const CampaignRound& a = baseline.rounds[i];
+    const CampaignRound& b = wide.rounds[i];
+    EXPECT_EQ(a.round, b.round);
+    expect_stats_equal(a.detection, b.detection);
+    EXPECT_EQ(a.retrain.ae_count, b.retrain.ae_count);
+    EXPECT_EQ(a.retrain.clean_count, b.retrain.clean_count);
+    EXPECT_EQ(a.retrain.final_loss, b.retrain.final_loss);
   }
 }
 

@@ -3,6 +3,7 @@
 // exceptions) or degrades gracefully — never silently corrupts results.
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -209,6 +210,76 @@ TEST(FailureInjection, ServiceRejectsMalformedRequestAndKeepsServing) {
   service.stop();
   EXPECT_EQ(service.stats().served, inputs.size());
   EXPECT_EQ(service.stats().shed, 0u);
+}
+
+/// Scores a row by its first feature and throws on rows marked with
+/// kMarker there, standing in for a detector that fails mid-batch.
+class ThrowingDetector : public Detector {
+ public:
+  static constexpr float kMarker = 99.0f;
+
+  explicit ThrowingDetector(std::size_t dim) : dim_(dim) {}
+  std::string name() const override { return "throwing"; }
+  std::size_t dim() const override { return dim_; }
+  void fit(const Dataset&, Rng&) override {}
+  bool fitted() const override { return true; }
+  void score_batch(const Tensor& inputs,
+                   std::span<double> out) const override {
+    for (std::size_t r = 0; r < inputs.dim(0); ++r) {
+      const float first = inputs(r, 0);
+      if (first == kMarker) throw std::runtime_error("detector failed");
+      out[r] = first;
+    }
+  }
+
+ private:
+  std::size_t dim_;
+};
+
+TEST(FailureInjection, ThrowingDetectorFailsOnlyItsBatch) {
+  // A scoring exception used to escape the scheduler thread and
+  // terminate the process. Now it fails every request of its own
+  // micro-batch, and the service keeps serving later ones.
+  auto task = testing::make_ring_task(200, 40, 40);
+  Rng train_rng(41);
+  Classifier model = testing::train_mlp(task.train, 8, 5, train_rng);
+  const std::size_t dim = task.train.dim();
+  auto detector = std::make_shared<ThrowingDetector>(dim);
+  detector->set_threshold(0.0);
+  serve::ServiceConfig config;
+  config.max_batch = 8;
+  serve::DetectionService service(model.clone(), detector, config);
+
+  const auto input = [&](std::size_t i) {
+    const auto row = task.test.row(i);
+    return Tensor(Shape{dim}, std::vector<float>(row.begin(), row.end()));
+  };
+  Tensor marked = input(0);
+  marked.at(0) = ThrowingDetector::kMarker;
+
+  // Queued before start(), the three requests share one micro-batch.
+  auto before = service.submit(input(1));
+  auto bad = service.submit(marked);
+  auto after = service.submit(input(2));
+  service.start();
+  EXPECT_THROW(bad.get(), std::runtime_error);
+  EXPECT_THROW(before.get(), std::runtime_error);
+  EXPECT_THROW(after.get(), std::runtime_error);
+
+  const Tensor good = input(3);
+  const serve::DetectResult got = service.submit(good).get();
+  Classifier replica = model.clone();
+  serve::DetectResult want;
+  serve::score_batch(replica, *detector, good.reshaped({1, dim}),
+                     std::span<serve::DetectResult>(&want, 1));
+  EXPECT_EQ(got.label, want.label);
+  EXPECT_EQ(got.naturalness, want.naturalness);
+  EXPECT_EQ(got.natural, want.natural);
+
+  service.stop();  // joins the scheduler
+  // The failed batch is left out of the counters.
+  EXPECT_EQ(service.stats().served, 1u);
+  EXPECT_EQ(service.stats().batches, 1u);
 }
 
 TEST(FailureInjection, ProjectionDegenerateEpsKeepsSeed) {

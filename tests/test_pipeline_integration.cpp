@@ -2,12 +2,31 @@
 // End-to-end integration test of the Figure-1 pipeline on the ring task.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/pipeline.h"
+#include "nn/serialize.h"
 #include "reliability/ground_truth.h"
 #include "test_helpers.h"
+#include "util/parallel.h"
 
 namespace opad {
 namespace {
+
+/// Restores the global pool to its OPAD_THREADS / hardware default when a
+/// thread-count-sweeping test exits (also on failure).
+struct GlobalPoolGuard {
+  ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
+};
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  if (a.size() == 0) return true;
+  return std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
 
 PipelineConfig small_pipeline_config() {
   PipelineConfig config;
@@ -194,6 +213,131 @@ TEST(Pipeline, ValidatesConfig) {
   config = small_pipeline_config();
   config.naturalness_quantile = 1.5;
   EXPECT_THROW(OpTestingPipeline{config}, PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Golden run: everything a pipeline run produces — every iteration stat,
+// every retained AE byte, tau, the GMM fit trace, the retrained weights
+// and the caller's rng state — is bit-identical at 1 and 8 threads.
+
+struct GoldenRun {
+  PipelineResult result;
+  std::vector<Tensor> weights;  // model parameters after the run
+  std::uint64_t rng_next = 0;   // post-run rng state witness
+};
+
+/// One pipeline run from fixed seeds: fresh data, model and rng per call.
+GoldenRun golden_run(std::size_t max_retained_aes = 0) {
+  auto task = testing::make_ring_task(300, 50, 211);
+  auto op_generator = task.generator.with_class_priors({0.6, 0.3, 0.1});
+  Rng data_rng(212);
+  const Dataset operational_sample = op_generator.make_dataset(120, data_rng);
+  Rng train_rng(213);
+  Classifier model = testing::train_mlp(task.train, 12, 8, train_rng);
+
+  PipelineConfig config = small_pipeline_config();
+  config.max_iterations = 2;
+  config.rq5.target_pmi = 1e-6;  // never met: run all iterations
+  config.max_retained_aes = max_retained_aes;
+  Rng rng(214);
+  GoldenRun out;
+  out.result = OpTestingPipeline(config).run(model, operational_sample, rng);
+  out.weights = snapshot_parameters(model.network());
+  out.rng_next = rng();  // shared-rng draw count must match exactly
+  return out;
+}
+
+void expect_identical(const GoldenRun& a, const GoldenRun& b) {
+  const PipelineResult& ra = a.result;
+  const PipelineResult& rb = b.result;
+  EXPECT_EQ(ra.total_queries, rb.total_queries);
+  EXPECT_EQ(ra.target_reached, rb.target_reached);
+  EXPECT_EQ(ra.tau, rb.tau);
+  ASSERT_EQ(ra.iterations.size(), rb.iterations.size());
+  for (std::size_t i = 0; i < ra.iterations.size(); ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    const IterationRecord& ia = ra.iterations[i];
+    const IterationRecord& ib = rb.iterations[i];
+    EXPECT_EQ(ia.iteration, ib.iteration);
+    EXPECT_EQ(ia.detection.seeds_attacked, ib.detection.seeds_attacked);
+    EXPECT_EQ(ia.detection.aes_found, ib.detection.aes_found);
+    EXPECT_EQ(ia.detection.clean_failures, ib.detection.clean_failures);
+    EXPECT_EQ(ia.detection.operational_aes, ib.detection.operational_aes);
+    EXPECT_EQ(ia.detection.queries_used, ib.detection.queries_used);
+    EXPECT_EQ(ia.retrain.ae_count, ib.retrain.ae_count);
+    EXPECT_EQ(ia.retrain.clean_count, ib.retrain.clean_count);
+    EXPECT_EQ(ia.retrain.final_loss, ib.retrain.final_loss);
+    EXPECT_EQ(ia.assessment.pmi_mean, ib.assessment.pmi_mean);
+    EXPECT_EQ(ia.assessment.pmi_upper, ib.assessment.pmi_upper);
+    EXPECT_EQ(ia.assessment.target_met, ib.assessment.target_met);
+    EXPECT_EQ(ia.assessment.probes, ib.assessment.probes);
+    EXPECT_EQ(ia.assessment.queries_used, ib.assessment.queries_used);
+    EXPECT_EQ(ia.budget_used_total, ib.budget_used_total);
+  }
+  ASSERT_EQ(ra.all_aes.size(), rb.all_aes.size());
+  for (std::size_t i = 0; i < ra.all_aes.size(); ++i) {
+    const OperationalAE& ea = ra.all_aes[i];
+    const OperationalAE& eb = rb.all_aes[i];
+    EXPECT_TRUE(bitwise_equal(ea.seed, eb.seed)) << i;
+    EXPECT_TRUE(bitwise_equal(ea.adversarial, eb.adversarial)) << i;
+    EXPECT_EQ(ea.label, eb.label) << i;
+    EXPECT_EQ(ea.linf_distance, eb.linf_distance) << i;
+    EXPECT_EQ(ea.seed_log_density, eb.seed_log_density) << i;
+    EXPECT_EQ(ea.naturalness, eb.naturalness) << i;
+    EXPECT_EQ(ea.is_operational, eb.is_operational) << i;
+  }
+  // The RQ1 GMM fit trace is the strictest float witness.
+  EXPECT_EQ(ra.gmm_trace.mean_log_likelihood,
+            rb.gmm_trace.mean_log_likelihood);
+  // Retrained weights and the caller's rng state must agree: both runs
+  // consumed the same draws in the same order.
+  ASSERT_EQ(a.weights.size(), b.weights.size());
+  for (std::size_t i = 0; i < a.weights.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(a.weights[i], b.weights[i])) << "param " << i;
+  }
+  EXPECT_EQ(a.rng_next, b.rng_next);
+}
+
+TEST(Pipeline, BitIdenticalAcrossThreadCounts) {
+  GlobalPoolGuard guard;
+  ThreadPool::configure_global(1);
+  const GoldenRun baseline = golden_run();
+  ASSERT_EQ(baseline.result.iterations.size(), 2u);
+  ASSERT_FALSE(baseline.result.all_aes.empty());
+  ASSERT_FALSE(baseline.result.gmm_trace.mean_log_likelihood.empty());
+
+  ThreadPool::configure_global(8);
+  expect_identical(baseline, golden_run());
+}
+
+TEST(Pipeline, MaxRetainedAesCapsRetentionNotStats) {
+  const GoldenRun full = golden_run();
+  ASSERT_GE(full.result.all_aes.size(), 3u)
+      << "config must find enough AEs for the cap to bind";
+  const std::size_t cap = full.result.all_aes.size() / 2;
+
+  const GoldenRun capped = golden_run(cap);
+  // Retention capped to the first `cap` AEs in canonical order...
+  ASSERT_EQ(capped.result.all_aes.size(), cap);
+  for (std::size_t i = 0; i < cap; ++i) {
+    EXPECT_TRUE(bitwise_equal(capped.result.all_aes[i].adversarial,
+                              full.result.all_aes[i].adversarial))
+        << i;
+  }
+  // ...while stats, accounting, and the retrained model are untouched.
+  ASSERT_EQ(capped.result.iterations.size(), full.result.iterations.size());
+  for (std::size_t i = 0; i < capped.result.iterations.size(); ++i) {
+    EXPECT_EQ(capped.result.iterations[i].detection.aes_found,
+              full.result.iterations[i].detection.aes_found);
+    EXPECT_EQ(capped.result.iterations[i].detection.operational_aes,
+              full.result.iterations[i].detection.operational_aes);
+  }
+  EXPECT_EQ(capped.result.total_queries, full.result.total_queries);
+  ASSERT_EQ(capped.weights.size(), full.weights.size());
+  for (std::size_t i = 0; i < capped.weights.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(capped.weights[i], full.weights[i])) << i;
+  }
+  EXPECT_EQ(capped.rng_next, full.rng_next);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the online detection service: queue semantics, detector-pass
-// bit-identity, batch-composition invariance, shedding, and the
-// drift-triggered background re-fit swap.
+// Tests for the online detection service: Channel<T> queue semantics,
+// detector-pass bit-identity, batch-composition invariance, shedding, and
+// the drift-triggered background re-fit swap.
 #include "serve/service.h"
 
 #include <atomic>
@@ -16,14 +16,13 @@
 #include "op/class_conditional.h"
 #include "op/gmm.h"
 #include "serve/detector.h"
-#include "serve/queue.h"
 #include "test_helpers.h"
+#include "util/channel.h"
 #include "util/parallel.h"
 
 namespace opad {
 namespace {
 
-using serve::BoundedQueue;
 using serve::DetectionService;
 using serve::DetectResult;
 using serve::OnlineDriftTrigger;
@@ -35,8 +34,10 @@ struct GlobalPoolGuard {
   ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
 };
 
+// The service's request queue is a bounded Channel<T>; the BoundedQueue
+// suite pins the queue behaviour DetectionService relies on.
 TEST(BoundedQueue, FifoAndBatchDrain) {
-  BoundedQueue<int> queue(8);
+  Channel<int> queue(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(queue.try_push(i));
   EXPECT_EQ(queue.size(), 5u);
   const auto batch =
@@ -48,7 +49,7 @@ TEST(BoundedQueue, FifoAndBatchDrain) {
 }
 
 TEST(BoundedQueue, TryPushShedsWhenFull) {
-  BoundedQueue<int> queue(2);
+  Channel<int> queue(2);
   EXPECT_TRUE(queue.try_push(1));
   EXPECT_TRUE(queue.try_push(2));
   EXPECT_FALSE(queue.try_push(3));
@@ -60,7 +61,7 @@ TEST(BoundedQueue, TryPushShedsWhenFull) {
 }
 
 TEST(BoundedQueue, PopBatchWaitsForDelayThenReturnsPartial) {
-  BoundedQueue<int> queue(8);
+  Channel<int> queue(8);
   std::thread producer([&] {
     queue.try_push(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -77,7 +78,7 @@ TEST(BoundedQueue, PopBatchWaitsForDelayThenReturnsPartial) {
 }
 
 TEST(BoundedQueue, PushBlocksUntilSpace) {
-  BoundedQueue<int> queue(1);
+  Channel<int> queue(1);
   EXPECT_TRUE(queue.push(1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
@@ -89,6 +90,75 @@ TEST(BoundedQueue, PushBlocksUntilSpace) {
   EXPECT_EQ(queue.pop_batch(1, std::chrono::microseconds(0)).size(), 1u);
   producer.join();
   EXPECT_TRUE(pushed.load());
+}
+
+TEST(Channel, TryPushShedsWhenFull) {
+  Channel<int> queue(2);
+  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_FALSE(queue.try_push(3));  // full: shed, not block
+  const auto first = queue.pop_batch(1, std::chrono::microseconds(0));
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], 1);
+  EXPECT_TRUE(queue.try_push(3));  // space again
+  EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(Channel, MultiProducerDeliversEverythingOnce) {
+  Channel<int> channel(64);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 200;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&channel, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_TRUE(channel.push(p * kPerProducer + i));
+      }
+    });
+  }
+  std::vector<int> seen(kProducers * kPerProducer, 0);
+  std::size_t received = 0;
+  while (received < seen.size()) {
+    const auto batch =
+        channel.pop_batch(32, std::chrono::microseconds(2000));
+    for (int v : batch) {
+      ASSERT_GE(v, 0);
+      ASSERT_LT(static_cast<std::size_t>(v), seen.size());
+      seen[static_cast<std::size_t>(v)] += 1;
+    }
+    received += batch.size();
+  }
+  for (std::thread& t : producers) t.join();
+  for (int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(Channel, CloseFailsPushesButDrainsPendingItems) {
+  Channel<int> channel(8);
+  EXPECT_TRUE(channel.push(1));
+  EXPECT_TRUE(channel.push(2));
+  channel.close();
+  EXPECT_TRUE(channel.closed());
+  EXPECT_FALSE(channel.push(3));
+  EXPECT_FALSE(channel.try_push(3));
+  // Pending items remain poppable after close, in order.
+  const auto first = channel.pop_batch(1, std::chrono::microseconds(0));
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], 1);
+  const auto rest = channel.pop_batch(8, std::chrono::microseconds(0));
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0], 2);
+  // Closed and drained: pop_batch returns empty instead of blocking.
+  EXPECT_TRUE(channel.pop_batch(8, std::chrono::microseconds(0)).empty());
+}
+
+TEST(Channel, CloseWakesBlockedProducer) {
+  Channel<int> channel(1);
+  ASSERT_TRUE(channel.push(1));
+  std::atomic<int> result{-1};
+  std::thread producer([&] { result = channel.push(2) ? 1 : 0; });
+  channel.close();
+  producer.join();
+  EXPECT_EQ(result.load(), 0);  // woken with failure, item dropped
 }
 
 class ServeTest : public ::testing::Test {
