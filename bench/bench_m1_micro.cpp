@@ -18,7 +18,6 @@
 #include "op/gmm.h"
 #include "op/kde.h"
 #include "tensor/gemm.h"
-#include "tensor/gemm_kernels.h"
 #include "tensor/qgemm.h"
 #include "tensor/tensor_ops.h"
 #include "util/resource.h"
@@ -61,12 +60,9 @@ void BM_MatMul(benchmark::State& state) {
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // Small-shape GEMM, routed explicitly: second arg 0 measures the packed
-// path (fast-path limit 0), 1 measures the no-pack small kernel driven
-// directly (squares past kGemmSmallPathMaxRows never qualify for the
-// dispatcher's gate). The two columns are the measurement behind the
-// fast-path gate recorded in DESIGN.md "SIMD micro-kernel dispatch" —
-// on an AVX2 host the packed route wins every square size, which is
-// why the gate keys on skinny m, not on m*n*k alone.
+// path (fast-path limit 0), 1 measures the active kernel's small-path
+// kernel driven directly (squares past kGemmSmallPathMaxRows never
+// qualify for the dispatcher's gate).
 void BM_MatMulSmall(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool fast_path = state.range(1) != 0;
@@ -76,13 +72,12 @@ void BM_MatMulSmall(benchmark::State& state) {
   const Tensor a = Tensor::randn({n, n}, rng);
   const Tensor b = Tensor::randn({n, n}, rng);
   if (fast_path) {
-    const detail::Operand a_op{a.data().data(), n, 1};
-    const detail::Operand b_op{b.data().data(), n, 1};
     Tensor c({n, n});
     for (auto _ : state) {
       c.fill(0.0f);
-      detail::gemm_small_strided(n, n, n, 256, a_op, b_op,
-                                 c.data().data());
+      detail::gemm_small(n, n, n, a.data().data(), GemmTranspose::kNone,
+                         b.data().data(), GemmTranspose::kNone,
+                         c.data().data());
       benchmark::DoNotOptimize(c.data().data());
     }
   } else {
@@ -103,48 +98,53 @@ BENCHMARK(BM_MatMulSmall)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// Row-skinny GEMM [m, 64] x [64, 64] — the dense-layer-on-few-samples /
-// surviving-attack-lanes shape the fast path exists for. Second arg as
-// in BM_MatMulSmall; here m <= kGemmSmallPathMaxRows shapes route
-// through the fast path in normal dispatch too, and the m sweep pins
-// where the win dies out (the data behind kGemmSmallPathMaxRows).
+// Row-skinny GEMM [m, d] x [d, d] — the dense-layer-on-few-samples /
+// surviving-attack-lanes shape the fast path exists for. Args: m; route
+// (0 = packed, 1 = the active kernel's small-path kernel, whatever the
+// gate says); layout of B (0 = plain, as in every forward product;
+// 1 = stored transposed, as in backward_input's G * W^T); d. The m sweep
+// pins where the small kernel stops beating the packed route for each
+// layout, which is the data behind kGemmSmallPathMaxRows and
+// kGemmSmallPathMaxRowsTransB; the d = 256 rows the data behind
+// kGemmSmallPathDefaultLimit.
 void BM_MatMulSkinny(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const bool fast_path = state.range(1) != 0;
+  const GemmTranspose trans_b =
+      state.range(2) != 0 ? GemmTranspose::kTranspose : GemmTranspose::kNone;
+  const auto d = static_cast<std::size_t>(state.range(3));
   const std::size_t previous_limit = gemm_small_path_limit();
-  set_gemm_small_path_limit(
-      fast_path ? std::numeric_limits<std::size_t>::max() : 0);
-  const std::size_t k = 64, n = 64;
+  set_gemm_small_path_limit(0);
   Rng rng(1);
-  const Tensor a = Tensor::randn({m, k}, rng);
-  const Tensor b = Tensor::randn({k, n}, rng);
-  if (fast_path && m > kGemmSmallPathMaxRows) {
-    const detail::Operand a_op{a.data().data(), k, 1};
-    const detail::Operand b_op{b.data().data(), n, 1};
-    Tensor c({m, n});
-    for (auto _ : state) {
-      c.fill(0.0f);
-      detail::gemm_small_strided(m, n, k, 256, a_op, b_op,
-                                 c.data().data());
-      benchmark::DoNotOptimize(c.data().data());
+  const Tensor a = Tensor::randn({m, d}, rng);
+  const Tensor b = Tensor::randn({d, d}, rng);
+  Tensor c({m, d});
+  for (auto _ : state) {
+    c.fill(0.0f);
+    if (fast_path) {
+      detail::gemm_small(m, d, d, a.data().data(), GemmTranspose::kNone,
+                         b.data().data(), trans_b, c.data().data());
+    } else {
+      gemm(m, d, d, a.data().data(), GemmTranspose::kNone, b.data().data(),
+           trans_b, c.data().data());
     }
-  } else {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(matmul(a, b));
-    }
+    benchmark::DoNotOptimize(c.data().data());
   }
   set_gemm_small_path_limit(previous_limit);
-  set_gemm_counters(state, m, k, n);
+  set_gemm_counters(state, m, d, d);
 }
-BENCHMARK(BM_MatMulSkinny)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({3, 0})
-    ->Args({3, 1})
-    ->Args({6, 0})
-    ->Args({6, 1});
+BENCHMARK(BM_MatMulSkinny)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const std::int64_t layout : {0, 1}) {
+    for (const std::int64_t m : {1, 2, 3, 4, 6, 8, 10, 12, 16, 24, 32, 48}) {
+      b->Args({m, 0, layout, 64});
+      b->Args({m, 1, layout, 64});
+    }
+    for (const std::int64_t m : {1, 4, 16}) {
+      b->Args({m, 0, layout, 256});
+      b->Args({m, 1, layout, 256});
+    }
+  }
+});
 
 // Micro-kernel comparison at a packed-path shape: second arg selects
 // the kernel (0 = scalar, 1 = avx2, 2 = fma, 3 = avx512). Unsupported

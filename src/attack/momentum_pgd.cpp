@@ -72,7 +72,7 @@ std::shared_ptr<const Attack> MomentumPgd::thread_replica() const {
   NaturalnessPtr replica = config_.evasion->scorer->thread_replica();
   if (!replica) return nullptr;  // scorer shareable -> so are we
   MomentumPgdConfig copy = config_;
-  copy.evasion->scorer = std::move(replica);
+  copy.evasion = EvasionTerm{std::move(replica), config_.evasion->lambda};
   return std::make_shared<MomentumPgd>(std::move(copy));
 }
 

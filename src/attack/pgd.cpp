@@ -75,7 +75,7 @@ std::shared_ptr<const Attack> Pgd::thread_replica() const {
   NaturalnessPtr replica = config_.evasion->scorer->thread_replica();
   if (!replica) return nullptr;  // scorer shareable -> so are we
   PgdConfig copy = config_;
-  copy.evasion->scorer = std::move(replica);
+  copy.evasion = EvasionTerm{std::move(replica), config_.evasion->lambda};
   return std::make_shared<Pgd>(std::move(copy));
 }
 

@@ -1,5 +1,7 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -58,7 +60,11 @@ void load_parameters(Sequential& model, std::istream& is) {
                   std::to_string(count) + ", model has " +
                   std::to_string(params.size()));
   }
-  for (Tensor* p : params) {
+  // Parse every tensor into staging first and commit only once the whole
+  // stream has checked out, so a failed load leaves the model untouched.
+  std::vector<Tensor> staged;
+  staged.reserve(params.size());
+  for (const Tensor* p : params) {
     const auto rank = read_pod<std::uint32_t>(is);
     if (rank != p->rank()) throw IoError("parameter rank mismatch");
     Shape shape(rank);
@@ -66,9 +72,20 @@ void load_parameters(Sequential& model, std::istream& is) {
       shape[d] = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
     }
     if (shape != p->shape()) throw IoError("parameter shape mismatch");
-    is.read(reinterpret_cast<char*>(p->data().data()),
-            static_cast<std::streamsize>(p->size() * sizeof(float)));
+    Tensor values(shape);
+    is.read(reinterpret_cast<char*>(values.data().data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
     if (!is) throw IoError("truncated parameter payload");
+    for (const float v : values.data()) {
+      if (!std::isfinite(v)) {
+        throw IoError("non-finite value in parameter payload");
+      }
+    }
+    staged.push_back(std::move(values));
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].data().begin(), staged[i].data().end(),
+              params[i]->data().begin());
   }
 }
 

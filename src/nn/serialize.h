@@ -18,6 +18,9 @@ void save_parameters(Sequential& model, std::ostream& os);
 
 /// Reads parameters saved by save_parameters into `model`. The model must
 /// have the identical architecture (tensor count and shapes are verified).
+/// All-or-nothing: the whole stream is parsed and checked (shapes, a
+/// complete payload, finite values) before any parameter is written, so a
+/// load that throws IoError leaves `model` bitwise unchanged.
 void load_parameters(Sequential& model, std::istream& is);
 
 /// File-path conveniences; throw IoError on failure.

@@ -49,10 +49,12 @@ std::size_t GaussianMixtureModel::dim() const {
 
 double GaussianMixtureModel::component_log_pdf(std::size_t k,
                                                const Tensor& x) const {
+  // Callers have checked x against dim(), so the loop indexes the span.
   const auto& c = components_[k];
+  const auto xs = x.data();
   double quad = 0.0;
   for (std::size_t j = 0; j < c.mean.size(); ++j) {
-    const double d = static_cast<double>(x.at(j)) - c.mean[j];
+    const double d = static_cast<double>(xs[j]) - c.mean[j];
     quad += d * d / c.variance[j];
   }
   return -0.5 * (log_norm_[k] + quad);
@@ -73,8 +75,9 @@ Tensor GaussianMixtureModel::sample(Rng& rng) const {
   for (const auto& c : components_) weights.push_back(c.weight);
   const auto& c = components_[rng.categorical(weights)];
   Tensor x({dim()});
-  for (std::size_t j = 0; j < dim(); ++j) {
-    x.at(j) = static_cast<float>(rng.normal(c.mean[j], std::sqrt(c.variance[j])));
+  auto xs = x.data();
+  for (std::size_t j = 0; j < xs.size(); ++j) {
+    xs[j] = static_cast<float>(rng.normal(c.mean[j], std::sqrt(c.variance[j])));
   }
   return x;
 }
@@ -95,13 +98,15 @@ std::vector<double> GaussianMixtureModel::responsibilities(
 }
 
 Tensor GaussianMixtureModel::log_density_gradient(const Tensor& x) const {
-  const auto resp = responsibilities(x);
+  const auto resp = responsibilities(x);  // checks x against dim()
   Tensor grad({dim()});
+  auto g = grad.data();
+  const auto xs = x.data();
   for (std::size_t k = 0; k < components_.size(); ++k) {
     const auto& c = components_[k];
-    for (std::size_t j = 0; j < dim(); ++j) {
-      grad.at(j) += static_cast<float>(
-          resp[k] * -(static_cast<double>(x.at(j)) - c.mean[j]) /
+    for (std::size_t j = 0; j < g.size(); ++j) {
+      g[j] += static_cast<float>(
+          resp[k] * -(static_cast<double>(xs[j]) - c.mean[j]) /
           c.variance[j]);
     }
   }
@@ -793,17 +798,32 @@ GaussianMixtureModel load_gmm(std::istream& is) {
   if (count == 0 || dim == 0 || count > (1u << 20) || dim > (1u << 20)) {
     throw IoError("implausible GMM header");
   }
-  std::vector<GaussianMixtureModel::Component> components(count);
-  for (auto& c : components) {
+  // Grown as components arrive, so a corrupt count fails on the short
+  // stream instead of allocating up front.
+  std::vector<GaussianMixtureModel::Component> components;
+  double total_weight = 0.0;
+  for (std::uint64_t k = 0; k < count; ++k) {
+    GaussianMixtureModel::Component& c = components.emplace_back();
     c.weight = read_pod<double>(is);
     c.mean.resize(dim);
     c.variance.resize(dim);
     for (double& m : c.mean) m = read_pod<double>(is);
     for (double& v : c.variance) v = read_pod<double>(is);
-    if (c.weight <= 0.0) throw IoError("non-positive weight in GMM stream");
-    for (double v : c.variance) {
-      if (v <= 0.0) throw IoError("non-positive variance in GMM stream");
+    if (!(c.weight > 0.0) || !std::isfinite(c.weight)) {
+      throw IoError("non-positive or non-finite weight in GMM stream");
     }
+    for (double m : c.mean) {
+      if (!std::isfinite(m)) throw IoError("non-finite mean in GMM stream");
+    }
+    for (double v : c.variance) {
+      if (!(v > 0.0) || !std::isfinite(v)) {
+        throw IoError("non-positive or non-finite variance in GMM stream");
+      }
+    }
+    total_weight += c.weight;
+  }
+  if (!std::isfinite(total_weight)) {
+    throw IoError("GMM stream weights overflow their sum");
   }
   return GaussianMixtureModel(std::move(components));
 }

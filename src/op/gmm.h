@@ -101,7 +101,8 @@ class GaussianMixtureModel : public OperationalProfile {
 
 /// (De)serialisation of a fitted GMM: a learned OP is a deployment
 /// artefact that outlives the process that fitted it. Simple tagged
-/// binary format; throws IoError on malformed input.
+/// binary format; load_gmm throws IoError on malformed input, including
+/// non-finite or non-positive weights and variances and non-finite means.
 void save_gmm(const GaussianMixtureModel& model, std::ostream& os);
 GaussianMixtureModel load_gmm(std::istream& is);
 void save_gmm_file(const GaussianMixtureModel& model,

@@ -1,8 +1,10 @@
 #include "serve/drift_trigger.h"
 
+#include <exception>
 #include <utility>
 
 #include "util/error.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace opad::serve {
@@ -51,9 +53,21 @@ void OnlineDriftTrigger::start_refit() {
     // independent.
     ScopedInlineExecution inline_guard;
     Rng rng(derive_stream_seed(config_.refit_seed, index));
-    ProfilePtr profile = refit_(sample, rng);
+    // An exception must not leave this thread: std::thread would call
+    // std::terminate. The failure travels to poll() instead.
+    ProfilePtr profile;
+    std::optional<std::string> error;
+    try {
+      profile = refit_(sample, rng);
+      if (!profile) error = "the refit function returned no profile";
+    } catch (const std::exception& e) {
+      error = e.what();
+    } catch (...) {
+      error = "unknown exception";
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     result_ = Refit{std::move(profile), std::move(sample)};
+    error_ = std::move(error);
     ready_ = true;
   });
 }
@@ -68,6 +82,14 @@ std::optional<OnlineDriftTrigger::Refit> OnlineDriftTrigger::poll() {
   Refit refit = std::move(result_);
   ready_ = false;
   in_flight_ = false;
+  if (error_) {
+    refits_failed_.fetch_add(1, std::memory_order_relaxed);
+    OPAD_WARN << "drift re-fit " << refits_started_ - 1
+              << " failed; keeping the serving profile: " << *error_;
+    error_.reset();
+    alarm_run_ = 0;
+    return std::nullopt;
+  }
   // Re-anchor the monitor to the data the new profile was fitted on: the
   // drifted stream is the new normal, so the alarm clears and the next
   // window is judged against the new baseline. The complemented base seed

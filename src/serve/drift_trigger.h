@@ -7,14 +7,18 @@
 // dedicated background thread over the most recent inputs — serving is
 // never stalled. The finished profile is collected with poll(), which
 // also re-anchors the monitor to the refit sample so the alarm clears
-// against the new baseline.
+// against the new baseline. A re-fit that throws (or returns no profile)
+// is counted and logged by poll(); the serving profile stays, and a later
+// alarm run may start a new re-fit.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "op/drift.h"
@@ -67,12 +71,18 @@ class OnlineDriftTrigger {
   bool observe(const Tensor& x);
 
   /// Collects a finished re-fit, if any: joins the worker, re-anchors the
-  /// monitor to the refit sample, and resets the persistence run.
-  /// Scheduler thread only.
+  /// monitor to the refit sample, and resets the persistence run. A
+  /// failed re-fit is joined, counted in refits_failed() and logged, and
+  /// yields nothing; the persistence run restarts. Scheduler thread only.
   std::optional<Refit> poll();
 
   bool refit_in_flight() const { return in_flight_; }
   std::uint64_t refits_started() const { return refits_started_; }
+  /// Re-fits whose RefitFn threw or returned no profile. Safe to read
+  /// from any thread.
+  std::uint64_t refits_failed() const {
+    return refits_failed_.load(std::memory_order_relaxed);
+  }
   const DriftMonitor& monitor() const { return monitor_; }
 
  private:
@@ -86,6 +96,7 @@ class OnlineDriftTrigger {
   std::size_t alarm_run_ = 0;   // consecutive alarmed observations
   std::uint64_t refits_started_ = 0;
   std::uint64_t refits_completed_ = 0;
+  std::atomic<std::uint64_t> refits_failed_{0};
 
   // Background worker handoff. `in_flight_` is scheduler-thread state;
   // `ready_`/`result_` cross threads and are guarded by `mutex_`.
@@ -94,6 +105,7 @@ class OnlineDriftTrigger {
   std::mutex mutex_;
   bool ready_ = false;
   Refit result_;
+  std::optional<std::string> error_;  // set when the re-fit failed
 };
 
 }  // namespace opad::serve

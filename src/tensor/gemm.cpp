@@ -31,9 +31,16 @@ constexpr std::size_t kNc = 256;  // multiple of every kernel's panel width
 constexpr std::size_t kKc = 256;
 static_assert(kNc % detail::kNrWide == 0 && kNc % kNr == 0);
 
-// The fast-path gate promises gemm_small_strided an n that fits its
+// The fast-path gate promises the scalar small kernel an n that fits its
 // stack row-accumulator buffer.
 static_assert(kGemmSmallPathMaxCols == detail::kSmallPathRowBuffer);
+
+/// View of an effective [rows, cols] operand stored as given by `trans`.
+Operand operand(const float* data, GemmTranspose trans, std::size_t rows,
+                std::size_t cols) {
+  return trans == GemmTranspose::kNone ? Operand{data, cols, 1}
+                                       : Operand{data, 1, rows};
+}
 
 /// Packs rows [i0, i0+mb) x k-block [p0, p0+kb) of A into kMr-row
 /// panels laid out kk-major, so the micro-kernel reads kMr contiguous
@@ -79,25 +86,32 @@ void pack_b(const Operand& b, std::size_t p0, std::size_t kb, std::size_t j0,
   }
 }
 
-/// A kernel's dispatch parameters: entry point, B-panel width, and the
-/// byte alignment its packed-B loads assume (one panel row).
+/// A kernel's dispatch parameters: packed micro-kernel entry point, its
+/// B-panel width (also the byte alignment, in floats, its packed-B loads
+/// assume), and the small-path kernel. The fma plan runs the non-fused
+/// avx2 small kernel: the small path is never fused.
 struct KernelPlan {
   detail::MicroKernelFn fn;
   std::size_t nr;
+  detail::SmallKernelFn small;
 };
 
 KernelPlan kernel_plan(GemmKernel kernel) {
 #if defined(__x86_64__) || defined(__i386__)
   switch (kernel) {
-    case GemmKernel::kAvx2: return {detail::micro_kernel_avx2, kNr};
-    case GemmKernel::kFma: return {detail::micro_kernel_fma, kNr};
+    case GemmKernel::kAvx2:
+      return {detail::micro_kernel_avx2, kNr, detail::small_kernel_avx2};
+    case GemmKernel::kFma:
+      return {detail::micro_kernel_fma, kNr, detail::small_kernel_avx2};
     case GemmKernel::kAvx512:
-      return {detail::micro_kernel_avx512, detail::kNrWide};
-    default: return {detail::micro_kernel_scalar, kNr};
+      return {detail::micro_kernel_avx512, detail::kNrWide,
+              detail::small_kernel_avx512};
+    default:
+      return {detail::micro_kernel_scalar, kNr, detail::small_kernel_scalar};
   }
 #else
   (void)kernel;
-  return {detail::micro_kernel_scalar, kNr};
+  return {detail::micro_kernel_scalar, kNr, detail::small_kernel_scalar};
 #endif
 }
 
@@ -217,29 +231,43 @@ void set_gemm_small_path_limit(std::size_t mnk_limit) {
   small_path_limit_state().store(mnk_limit, std::memory_order_relaxed);
 }
 
+bool gemm_takes_small_path(std::size_t m, std::size_t n, std::size_t k) {
+  // (k <= limit/m/n is the overflow-safe form of m*n*k <= limit.)
+  const std::size_t limit = gemm_small_path_limit();
+  return limit > 0 && m > 0 && n > 0 && m <= kGemmSmallPathMaxRows &&
+         n <= kGemmSmallPathMaxCols && k <= limit / m / n;
+}
+
+namespace detail {
+
+void gemm_small(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                GemmTranspose trans_a, const float* b, GemmTranspose trans_b,
+                float* c) {
+  OPAD_EXPECTS(n <= kGemmSmallPathMaxCols);
+  if (m == 0 || n == 0 || k == 0) return;
+  kernel_plan(active_gemm_kernel())
+      .small(m, n, k, kKc, operand(a, trans_a, m, k),
+             operand(b, trans_b, k, n), c);
+}
+
+}  // namespace detail
+
 void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
           GemmTranspose trans_a, const float* b, GemmTranspose trans_b,
           float* c) {
   if (m == 0 || n == 0 || k == 0) return;
-  const Operand a_op = trans_a == GemmTranspose::kNone
-                           ? Operand{a, k, 1}
-                           : Operand{a, 1, m};
-  const Operand b_op = trans_b == GemmTranspose::kNone
-                           ? Operand{b, n, 1}
-                           : Operand{b, 1, k};
+  const Operand a_op = operand(a, trans_a, m, k);
+  const Operand b_op = operand(b, trans_b, k, n);
   // Small-matrix fast path: for row-skinny products (a dense layer on a
-  // single sample, 1-2 surviving attack lanes) packing B costs as much
-  // as the product itself, so a direct strided walk wins ~2-4x. Serial,
-  // but the same accumulation association — bitwise neutral (and
-  // trivially OPAD_THREADS-independent).
-  // (k <= limit/m/n is the overflow-safe form of m*n*k <= limit.)
-  const std::size_t limit = gemm_small_path_limit();
-  if (limit > 0 && m <= kGemmSmallPathMaxRows &&
-      n <= kGemmSmallPathMaxCols && k <= limit / m / n) {
-    detail::gemm_small_strided(m, n, k, kKc, a_op, b_op, c);
+  // single sample, a few surviving attack lanes) packing B costs as much
+  // as the product itself, so the small kernel reads the operands in
+  // place. Serial, but the same accumulation association — bitwise
+  // neutral (and trivially OPAD_THREADS-independent).
+  const KernelPlan plan = kernel_plan(active_gemm_kernel());
+  if (gemm_takes_small_path(m, n, k)) {
+    plan.small(m, n, k, kKc, a_op, b_op, c);
     return;
   }
-  const KernelPlan plan = kernel_plan(active_gemm_kernel());
   const std::size_t nr = plan.nr;
   // Each packed-B panel row is nr floats; leasing the workspace at that
   // byte width keeps every row the kernel vector-loads aligned. The A

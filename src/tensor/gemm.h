@@ -21,8 +21,9 @@
 // (8 vs 16) only reorders *between* independent element chains, never
 // within one; the FMA kernel is single-rounded and numerically
 // divergent, so it is never selected by default on portable builds. The
-// small-matrix fast path skips packing but replays the same
-// association, so it is bitwise neutral too.
+// small-matrix fast path skips packing but replays the same association
+// in its own scalar, 8-wide and 16-wide kernels, so it is bitwise
+// neutral too (under fma it runs the non-fused 8-wide kernel).
 #pragma once
 
 #include <cstddef>
@@ -70,19 +71,20 @@ GemmKernel resolve_gemm_kernel_choice(const char* name);
 /// harnesses). Throws PreconditionError if the CPU does not support it.
 void set_gemm_kernel(GemmKernel kernel);
 
-/// Gate of the small-matrix fast path that skips pack_a/pack_b and the
-/// scratch arena: taken iff m <= kGemmSmallPathMaxRows, n <=
-/// kGemmSmallPathMaxCols and m*n*k <= gemm_small_path_limit(). The
-/// BM_MatMulSmall / BM_MatMulSkinny benches (bench_m1_micro) measured
-/// the packing overhead to be worth skipping only for row-skinny
-/// products — a dense layer on a single sample, the 1-2 surviving
-/// attack lanes of a compacted batch — where packing B costs as much as
-/// the whole product; square and column-skinny shapes always prefer
-/// the vectorized packed route. See DESIGN.md "SIMD micro-kernel
-/// dispatch" for the data behind all three values.
-inline constexpr std::size_t kGemmSmallPathMaxRows = 3;
+/// Gate of the small-matrix fast path that skips pack_a/pack_b: taken
+/// iff m <= kGemmSmallPathMaxRows, n <= kGemmSmallPathMaxCols and m*n*k
+/// <= gemm_small_path_limit(). The BM_MatMulSkinny bench (bench_m1_micro)
+/// measured the small kernels beating the packed route on every
+/// row-skinny shape it sweeps, in both layouts of B and up to a full k
+/// block at 256 columns: a dense layer on a single sample, the surviving
+/// lanes of a compacted attack batch, a service micro-batch. The row cap
+/// stops below the 32-row training and lane batches, which keep the
+/// packed route. See DESIGN.md "SIMD micro-kernel dispatch" for the data
+/// behind all three values.
+inline constexpr std::size_t kGemmSmallPathMaxRows = 16;
 inline constexpr std::size_t kGemmSmallPathMaxCols = 256;
-inline constexpr std::size_t kGemmSmallPathDefaultLimit = 128 * 1024;
+inline constexpr std::size_t kGemmSmallPathDefaultLimit =
+    kGemmSmallPathMaxRows * kGemmSmallPathMaxCols * 256;
 
 /// Current fast-path m*n*k ceiling. 0 means the fast path is disabled
 /// and every shape takes the packed route.
@@ -91,6 +93,10 @@ std::size_t gemm_small_path_limit();
 /// Overrides the fast-path ceiling (tests pin it to 0 or SIZE_MAX to
 /// force one route over the qualifying shapes).
 void set_gemm_small_path_limit(std::size_t mnk_limit);
+
+/// Whether gemm() routes an [m, k] x [k, n] product through the
+/// small-matrix fast path under the current limit.
+bool gemm_takes_small_path(std::size_t m, std::size_t n, std::size_t k);
 
 /// Work estimate of one packed-route gemm() call, in padded
 /// multiply-adds: rows rounded up to the micro-kernel height, columns to
@@ -115,4 +121,15 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
           GemmTranspose trans_a, const float* b, GemmTranspose trans_b,
           float* c);
 
+namespace detail {
+
+/// The active kernel's small-path kernel on C += op(A) * op(B), bypassing
+/// the gate (n must still be <= kGemmSmallPathMaxCols). The
+/// BM_MatMulSmall / BM_MatMulSkinny benches time it past the gate, where
+/// gemm() would pack.
+void gemm_small(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                GemmTranspose trans_a, const float* b, GemmTranspose trans_b,
+                float* c);
+
+}  // namespace detail
 }  // namespace opad

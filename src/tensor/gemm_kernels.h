@@ -1,4 +1,5 @@
-// Internal micro-kernels behind the packed GEMM driver (gemm.cpp).
+// Internal micro-kernels behind the GEMM driver (gemm.cpp): the packed
+// route's register-tile kernels and the small-matrix path's kernels.
 //
 // Every floating-point accumulation of the GEMM lives in this TU, which
 // the build compiles with -ffp-contract=off (see src/tensor/CMakeLists):
@@ -19,6 +20,8 @@
 // the scalar chains. Panel width nr only decides *which* element's
 // chain advances next, never the order within a chain, so kNr- and
 // kNrWide-packed runs of the same product are bitwise interchangeable.
+// The small-path kernels keep the same chains while reading A and B in
+// place (see SmallKernelFn below).
 #pragma once
 
 #include <cstddef>
@@ -78,19 +81,41 @@ void micro_kernel_avx512(std::size_t kb, const float* ap, const float* bp,
                          std::size_t cols);
 #endif
 
-/// Stack row-accumulator width of the small-path kernel; products with
-/// n above this take a per-element fallback loop inside it.
+/// Stack row-accumulator width of the scalar small-path kernel; the
+/// fast-path gate keeps n at or below it.
 inline constexpr std::size_t kSmallPathRowBuffer = 256;
 
 /// Small-matrix fast path: computes C += op(A) * op(B) directly from the
-/// strided operands, skipping pack_a/pack_b and the scratch arena. The
-/// caller must guarantee n <= kSmallPathRowBuffer. The accumulation
-/// replays the packed path's association exactly — per C element one
-/// scalar accumulator per kc-sized k block, blocks added to C in
-/// ascending order — so the result is bitwise identical to the scalar
-/// (and therefore AVX2) packed kernel for every shape.
-void gemm_small_strided(std::size_t m, std::size_t n, std::size_t k,
-                        std::size_t kc, const Operand& a, const Operand& b,
-                        float* c);
+/// strided operands, skipping pack_a/pack_b. The caller must guarantee
+/// n <= kSmallPathRowBuffer and a row-major C with leading dimension n.
+/// Every kernel replays the packed path's association exactly — per C
+/// element one accumulator per kc-sized k block (separate multiply and
+/// add, k ascending), blocks added to C in ascending order — so all of
+/// them are bitwise identical to the scalar (and therefore AVX2 and
+/// AVX-512) packed kernel for every shape. A is only ever broadcast, so
+/// either layout of A is read in place.
+using SmallKernelFn = void (*)(std::size_t m, std::size_t n, std::size_t k,
+                               std::size_t kc, const Operand& a,
+                               const Operand& b, float* c);
+
+/// Portable reference: one row of chains in a stack buffer, B read in
+/// place in either layout.
+void small_kernel_scalar(std::size_t m, std::size_t n, std::size_t k,
+                         std::size_t kc, const Operand& a, const Operand& b,
+                         float* c);
+
+#if defined(__x86_64__) || defined(__i386__)
+/// 8-wide (ymm) and 16-wide (zmm) register tiles over row-major B with
+/// masked tail lanes, so they never read past B or write past C. A
+/// transposed B is transposed one k block at a time into the calling
+/// thread's ScratchArena first. Dispatched only after cpu_features()
+/// confirms the ISA, like the packed micro-kernels.
+void small_kernel_avx2(std::size_t m, std::size_t n, std::size_t k,
+                       std::size_t kc, const Operand& a, const Operand& b,
+                       float* c);
+void small_kernel_avx512(std::size_t m, std::size_t n, std::size_t k,
+                         std::size_t kc, const Operand& a, const Operand& b,
+                         float* c);
+#endif
 
 }  // namespace opad::detail

@@ -157,18 +157,20 @@ Tensor one_hot(std::span<const int> labels, std::size_t num_classes) {
 void add_bias_rows(Tensor& m, const Tensor& bias) {
   check_rank2(m, "m");
   OPAD_EXPECTS(bias.rank() == 1 && bias.dim(0) == m.dim(1));
+  const auto b = bias.data();
   for (std::size_t i = 0; i < m.dim(0); ++i) {
     auto row = m.row_span(i);
-    for (std::size_t j = 0; j < row.size(); ++j) row[j] += bias.at(j);
+    for (std::size_t j = 0; j < row.size(); ++j) row[j] += b[j];
   }
 }
 
 Tensor sum_rows(const Tensor& m) {
   check_rank2(m, "m");
   Tensor out({m.dim(1)});
+  auto o = out.data();
   for (std::size_t i = 0; i < m.dim(0); ++i) {
     auto row = m.row_span(i);
-    for (std::size_t j = 0; j < row.size(); ++j) out.at(j) += row[j];
+    for (std::size_t j = 0; j < row.size(); ++j) o[j] += row[j];
   }
   return out;
 }

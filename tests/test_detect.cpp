@@ -468,7 +468,7 @@ TEST_F(DetectTest, DetectorMethodRunsTransferAndAdaptive) {
   Rng rng(601);
   DetectorMethodConfig mc;
   mc.campaign_batch = 16;
-  for (const std::string& name : {"Density", "MutationScore"}) {
+  for (const char* name : {"Density", "MutationScore"}) {
     for (bool adaptive : {false, true}) {
       mc.adaptive = adaptive;
       const MethodPtr method = make_detector_method(find(name), mc);
@@ -513,7 +513,7 @@ TEST_F(DetectTest, AdaptiveAttackEvadesMoreThanTransfer) {
 
 TEST_F(DetectTest, MakeMethodFactory) {
   const MethodSuiteConfig config;
-  for (const std::string& name :
+  for (const char* name :
        {"OpAD", "OpAD-NoGrad", "PGD-Uniform", "MIFGSM-Uniform", "RandomFuzz",
         "GeneticFuzz", "OperationalTest"}) {
     EXPECT_EQ(make_method(name, config)->name(), name);

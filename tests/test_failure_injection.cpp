@@ -1,17 +1,25 @@
 // Failure-injection suite: feed the library malformed, extreme, or
 // adversarially degenerate inputs and verify it fails loudly (typed
 // exceptions) or degrades gracefully — never silently corrupts results.
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "attack/pgd.h"
 #include "core/methods.h"
 #include "core/seed_sampler.h"
+#include "nn/serialize.h"
 #include "data/generators.h"
 #include "naturalness/density_naturalness.h"
+#include "op/cells.h"
 #include "op/gmm.h"
 #include "op/histogram.h"
 #include "op/kde.h"
@@ -280,6 +288,199 @@ TEST(FailureInjection, ThrowingDetectorFailsOnlyItsBatch) {
   // The failed batch is left out of the counters.
   EXPECT_EQ(service.stats().served, 1u);
   EXPECT_EQ(service.stats().batches, 1u);
+}
+
+TEST(FailureInjection, ThrowingRefitKeepsServingAndRetries) {
+  // A throwing RefitFn used to escape its std::thread and terminate the
+  // process. Now the failure is counted, the serving profile stays, and
+  // the next alarm run starts a new re-fit.
+  auto task = testing::make_ring_task(400, 100, 42);
+  Rng train_rng(43);
+  Classifier model = testing::train_mlp(task.train, 8, 5, train_rng);
+  GmmConfig gmm_config;
+  gmm_config.components = 3;
+  Rng fit_rng(44);
+  const ProfilePtr profile = std::make_shared<const GaussianMixtureModel>(
+      GaussianMixtureModel::fit(task.train.inputs(), gmm_config, fit_rng));
+  const double tau = -4.0;
+  const std::size_t dim = task.train.dim();
+
+  Rng rng(45);
+  auto partition = std::make_shared<const CellPartition>(
+      CellPartition::fit(task.train.inputs(), 6, 2, rng));
+  serve::DriftTriggerConfig trigger_config;
+  trigger_config.monitor.window = 100;
+  trigger_config.monitor.calibration_draws = 100;
+  trigger_config.persistence = 10;
+  trigger_config.refit_sample = 150;
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto trigger = std::make_unique<serve::OnlineDriftTrigger>(
+      partition, task.train.inputs(), trigger_config,
+      [calls](const Tensor& recent, Rng& refit_rng) -> ProfilePtr {
+        if (calls->fetch_add(1) == 0) throw std::runtime_error("refit failed");
+        GmmConfig gmm;
+        gmm.components = 3;
+        return std::make_shared<GaussianMixtureModel>(
+            GaussianMixtureModel::fit(recent, gmm, refit_rng));
+      },
+      rng);
+  const serve::OnlineDriftTrigger* watch = trigger.get();
+  serve::ServiceConfig config;
+  config.max_batch = 8;
+  config.max_delay_us = 100;
+  serve::DetectionService service(model.clone(), profile, tau, config,
+                                  std::move(trigger));
+  service.start();
+
+  const auto shifted = task.generator.shifted({2.5, 2.5});
+  Rng stream_rng(46);
+  Classifier replica = model.clone();
+  int mismatches = 0;
+  for (int i = 0; i < 2000 && watch->refits_failed() == 0; ++i) {
+    const Tensor x = shifted.sample(stream_rng).x;
+    const serve::DetectResult got = service.submit(x).get();
+    serve::DetectResult want;
+    serve::score_batch(replica, *profile, tau, x.reshaped({1, dim}),
+                       std::span<serve::DetectResult>(&want, 1));
+    if (got.label != want.label || got.naturalness != want.naturalness ||
+        got.natural != want.natural) {
+      ++mismatches;
+    }
+  }
+  ASSERT_EQ(watch->refits_failed(), 1u);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(service.stats().refits, 0u);
+  EXPECT_EQ(service.profile().get(), profile.get());
+
+  for (int i = 0; i < 2000 && service.stats().refits == 0; ++i) {
+    service.submit(shifted.sample(stream_rng).x).get();
+  }
+  service.stop();
+  EXPECT_EQ(service.stats().refits, 1u);
+  EXPECT_NE(service.profile().get(), profile.get());
+  EXPECT_EQ(watch->refits_failed(), 1u);
+  EXPECT_EQ(watch->refits_started(), 2u);
+  EXPECT_EQ(calls->load(), 2);
+}
+
+/// Whether every parameter of `model` is bitwise equal to `snapshot`.
+bool parameters_equal(Sequential& model, const std::vector<Tensor>& snapshot) {
+  const auto params = model.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const auto got = params[i]->data();
+    const auto want = snapshot[i].data();
+    if (got.size() != want.size() ||
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `bytes` truncated (even trials) or with 1-3 flipped bits (odd trials).
+std::string corrupt(const std::string& bytes, int trial, Rng& rng) {
+  std::string out = bytes;
+  if (trial % 2 == 0) {
+    out.resize(rng.uniform_index(bytes.size()));
+  } else {
+    const std::size_t flips = 1 + rng.uniform_index(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      out[rng.uniform_index(out.size())] ^=
+          static_cast<char>(1u << rng.uniform_index(8));
+    }
+  }
+  return out;
+}
+
+TEST(FailureInjection, CorruptParameterStreamLoadsAllOrNothing) {
+  // A shape mismatch or a short payload at parameter k used to leave
+  // parameters 0..k-1 (and part of k) already overwritten.
+  Rng rng(47);
+  Classifier saved = testing::make_mlp(64, 64, 10, rng);  // digits MLP
+  std::ostringstream out;
+  save_parameters(saved.network(), out);
+  const std::string bytes = out.str();
+  Classifier model = testing::make_mlp(64, 64, 10, rng);
+  const std::vector<Tensor> before = snapshot_parameters(model.network());
+
+  Rng sweep(48);
+  int loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::istringstream in(corrupt(bytes, trial, sweep));
+    try {
+      load_parameters(model.network(), in);
+      ++loaded;
+      for (const Tensor* p : model.network().parameters()) {
+        for (const float v : p->data()) ASSERT_TRUE(std::isfinite(v));
+      }
+      restore_parameters(model.network(), before);
+    } catch (const Error&) {
+      ++rejected;
+      ASSERT_TRUE(parameters_equal(model.network(), before))
+          << "trial " << trial << " left the model half-written";
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+
+  // A non-finite value in the last tensor fails the whole load.
+  for (const float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity()}) {
+    std::string bad = bytes;
+    std::memcpy(bad.data() + bad.size() - sizeof(float), &poison,
+                sizeof(float));
+    std::istringstream in(bad);
+    EXPECT_THROW(load_parameters(model.network(), in), IoError);
+    EXPECT_TRUE(parameters_equal(model.network(), before));
+  }
+  // The intact stream still loads.
+  std::istringstream in(bytes);
+  load_parameters(model.network(), in);
+  EXPECT_TRUE(
+      parameters_equal(model.network(), snapshot_parameters(saved.network())));
+}
+
+TEST(FailureInjection, CorruptGmmStreamLoadsFiniteOrThrows) {
+  auto task = testing::make_ring_task(300, 10, 49);
+  GmmConfig config;
+  config.components = 3;
+  Rng fit_rng(50);
+  const GaussianMixtureModel gmm =
+      GaussianMixtureModel::fit(task.train.inputs(), config, fit_rng);
+  std::ostringstream out;
+  save_gmm(gmm, out);
+  const std::string bytes = out.str();
+
+  Rng sweep(51);
+  int loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::istringstream in(corrupt(bytes, trial, sweep));
+    try {
+      const GaussianMixtureModel restored = load_gmm(in);
+      ++loaded;
+      for (const auto& c : restored.components()) {
+        ASSERT_TRUE(std::isfinite(c.weight));
+        for (const double m : c.mean) ASSERT_TRUE(std::isfinite(m));
+        for (const double v : c.variance) ASSERT_TRUE(std::isfinite(v));
+      }
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+
+  // The first mean of the first component sits after the magic, the two
+  // u64 header fields and the first weight.
+  const std::size_t mean_at = 4 + 8 + 8 + 8;
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    std::string bad = bytes;
+    std::memcpy(bad.data() + mean_at, &poison, sizeof(double));
+    std::istringstream in(bad);
+    EXPECT_THROW(load_gmm(in), IoError);
+  }
 }
 
 TEST(FailureInjection, ProjectionDegenerateEpsKeepsSeed) {

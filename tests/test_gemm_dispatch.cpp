@@ -6,6 +6,7 @@
 // path's bitwise neutrality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -326,69 +327,139 @@ TEST(GemmDispatch, FmaKernelMatchesDoubleOracle) {
   }
 }
 
+constexpr GemmKernel kAllKernels[] = {GemmKernel::kScalar, GemmKernel::kAvx2,
+                                      GemmKernel::kFma, GemmKernel::kAvx512};
+
 // The fast path skips packing but must replay the packed association
-// exactly: force each route over qualifying row-skinny shapes
-// (including multi-k-block depths) and demand bitwise equality under
-// every supported kernel — the packed route's kernel choice must not
-// matter either, since scalar == avx2 and the fast path is scalar-order.
+// exactly: force each route over every row count the gate admits, column
+// counts around both panel widths (8 and 16) and depths of one and more
+// k blocks, in all three layouts, and demand bitwise equality under
+// every supported kernel. The fma kernel's small path is the non-fused
+// avx2 one, so against the fused packed kernel it may differ in the last
+// bits only.
 TEST(GemmSmallPath, BitwiseIdenticalToPackedRoute) {
   DispatchGuard guard;
-  struct Case {
-    std::size_t m, k, n;
-  };
-  const Case cases[] = {{1, 1, 1},    {1, 64, 10},  {1, 300, 64},
-                        {2, 520, 128}, {3, 64, 256}, {3, 257, 31}};
+  const std::size_t ns[] = {1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 250, 256};
+  const std::size_t ks[] = {1, 10, 64, 256, 257, 520};
   Rng rng(13);
-  for (const Case& c : cases) {
-    ASSERT_LE(c.m, kGemmSmallPathMaxRows);
-    ASSERT_LE(c.n, kGemmSmallPathMaxCols);
-    for (Variant v : kVariants) {
-      const Tensor a = Tensor::randn(stored_a(v, c.m, c.k), rng);
-      const Tensor b = Tensor::randn(stored_b(v, c.k, c.n), rng);
-      for (GemmKernel kernel : {GemmKernel::kScalar, GemmKernel::kAvx2,
-                                GemmKernel::kFma, GemmKernel::kAvx512}) {
-        if (!gemm_kernel_supported(kernel)) continue;
-        set_gemm_kernel(kernel);
-        set_gemm_small_path_limit(0);
-        const Tensor packed = run_variant(v, a, b);
-        set_gemm_small_path_limit(std::numeric_limits<std::size_t>::max());
-        const Tensor fast = run_variant(v, a, b);
-        const bool identical = bitwise_equal(packed, fast);
-        if (kernel == GemmKernel::kFma) {
-          // The fast path is scalar-order; against the fused packed
-          // kernel it may differ in the last bits, but not more.
-          for (std::size_t i = 0; i < c.m; ++i) {
-            for (std::size_t j = 0; j < c.n; ++j) {
-              ASSERT_NEAR(packed(i, j), fast(i, j),
-                          1e-4 + 2e-6 * static_cast<double>(c.k) *
-                                     std::sqrt(static_cast<double>(c.k)));
+  for (Variant v : kVariants) {
+    for (const std::size_t n : ns) {
+      for (const std::size_t k : ks) {
+        const Tensor b = Tensor::randn(stored_b(v, k, n), rng);
+        for (std::size_t m = 1; m <= kGemmSmallPathMaxRows; ++m) {
+          ASSERT_LE(n, kGemmSmallPathMaxCols);
+          const Tensor a = Tensor::randn(stored_a(v, m, k), rng);
+          for (GemmKernel kernel : kAllKernels) {
+            if (!gemm_kernel_supported(kernel)) continue;
+            set_gemm_kernel(kernel);
+            set_gemm_small_path_limit(0);
+            const Tensor packed = run_variant(v, a, b);
+            set_gemm_small_path_limit(
+                std::numeric_limits<std::size_t>::max());
+            ASSERT_TRUE(gemm_takes_small_path(m, n, k));
+            const Tensor fast = run_variant(v, a, b);
+            if (kernel == GemmKernel::kFma) {
+              const double tol = 1e-4 + 2e-6 * static_cast<double>(k) *
+                                            std::sqrt(static_cast<double>(k));
+              for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                  ASSERT_NEAR(packed(i, j), fast(i, j), tol);
+                }
+              }
+            } else {
+              ASSERT_TRUE(bitwise_equal(packed, fast))
+                  << "[" << m << "," << k << "," << n << "] variant "
+                  << static_cast<int>(v) << " kernel "
+                  << gemm_kernel_name(kernel);
             }
           }
-        } else {
-          ASSERT_TRUE(identical)
-              << "[" << c.m << "," << c.k << "," << c.n << "] variant "
-              << static_cast<int>(v) << " kernel "
-              << gemm_kernel_name(kernel);
         }
       }
     }
   }
 }
 
+// The scalar, 8-wide and 16-wide small kernels run the same chains, so
+// they must agree to the last bit on every row-skinny shape and layout,
+// at any thread count; fma runs the 8-wide one, so it joins them.
+TEST(GemmSmallPath, KernelsBitwiseIdenticalOverRandomizedShapes) {
+  DispatchGuard guard;
+  set_gemm_small_path_limit(std::numeric_limits<std::size_t>::max());
+  Rng shape_rng(20261019);
+  Rng rng(31);
+  for (int i = 0; i < 24; ++i) {
+    const std::size_t m = shape_rng.uniform_index(kGemmSmallPathMaxRows) + 1;
+    const std::size_t n = shape_rng.uniform_index(kGemmSmallPathMaxCols) + 1;
+    const std::size_t k = shape_rng.uniform_index(600) + 1;
+    for (Variant v : kVariants) {
+      const Tensor a = Tensor::randn(stored_a(v, m, k), rng);
+      const Tensor b = Tensor::randn(stored_b(v, k, n), rng);
+      for (std::size_t threads : {1u, 8u}) {
+        ThreadPool::configure_global(threads);
+        set_gemm_kernel(GemmKernel::kScalar);
+        const Tensor scalar = run_variant(v, a, b);
+        for (GemmKernel kernel : kAllKernels) {
+          if (!gemm_kernel_supported(kernel)) continue;
+          set_gemm_kernel(kernel);
+          ASSERT_TRUE(bitwise_equal(scalar, run_variant(v, a, b)))
+              << "[" << m << "," << k << "," << n << "] variant "
+              << static_cast<int>(v) << " kernel " << gemm_kernel_name(kernel)
+              << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+// 0 * Inf in real entries must stay NaN on the no-pack route, in both
+// layouts of B, including in the last column of a masked tail: the
+// poisoned column reads NaN / Inf exactly where the scalar chains put
+// them, its neighbours stay finite, and nothing is written past C.
 TEST(GemmSmallPath, NonFinitePropagatesWithoutZeroSkip) {
   DispatchGuard guard;
   set_gemm_small_path_limit(std::numeric_limits<std::size_t>::max());
-  // 0 * Inf in real entries must stay NaN on the no-pack route too.
-  const std::size_t m = 2, k = 5, n = 7;
-  Tensor a({m, k}, 1.0f);
-  Tensor b({k, n}, 1.0f);
-  a(1, 4) = 0.0f;
-  b(4, 6) = std::numeric_limits<float>::infinity();
-  const Tensor c = matmul(a, b);
-  EXPECT_TRUE(std::isnan(c(1, 6)));
-  EXPECT_TRUE(std::isinf(c(0, 6)));
-  EXPECT_FLOAT_EQ(c(1, 5), static_cast<float>(k - 1));
-  EXPECT_FLOAT_EQ(c(0, 0), static_cast<float>(k));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = 12345.0f;
+  for (GemmKernel kernel : kAllKernels) {
+    if (!gemm_kernel_supported(kernel)) continue;
+    set_gemm_kernel(kernel);
+    for (const GemmTranspose trans_b :
+         {GemmTranspose::kNone, GemmTranspose::kTranspose}) {
+      for (const std::size_t n : {7u, 17u, 33u, 41u}) {
+        const std::size_t m = 3, k = 5;
+        std::vector<float> a(m * k, 1.0f);
+        a[1 * k + 4] = 0.0f;  // row 1 meets the Inf with a zero
+        a[2 * k + 4] = nan;   // row 2 meets every column with a NaN
+        std::vector<float> b(k * n, 1.0f);
+        const auto b_at = [&](std::size_t p, std::size_t j) -> float& {
+          return trans_b == GemmTranspose::kNone ? b[p * n + j] : b[j * k + p];
+        };
+        b_at(4, n - 1) = inf;
+        std::vector<float> c(m * n + 16, sentinel);
+        std::fill(c.begin(), c.begin() + static_cast<long>(m * n), 0.0f);
+        ASSERT_TRUE(gemm_takes_small_path(m, n, k));
+        gemm(m, n, k, a.data(), GemmTranspose::kNone, b.data(), trans_b,
+             c.data());
+        const auto at = [&](std::size_t i, std::size_t j) {
+          return c[i * n + j];
+        };
+        const std::string where = std::string(gemm_kernel_name(kernel)) +
+                                  " n=" + std::to_string(n) + " trans_b=" +
+                                  std::to_string(static_cast<int>(trans_b));
+        EXPECT_TRUE(std::isinf(at(0, n - 1))) << where;
+        EXPECT_TRUE(std::isnan(at(1, n - 1))) << where;
+        EXPECT_FLOAT_EQ(at(0, 0), static_cast<float>(k)) << where;
+        EXPECT_FLOAT_EQ(at(1, n - 2), static_cast<float>(k - 1)) << where;
+        for (std::size_t j = 0; j < n; ++j) {
+          EXPECT_TRUE(std::isnan(at(2, j))) << where << " j=" << j;
+        }
+        for (std::size_t t = m * n; t < c.size(); ++t) {
+          ASSERT_EQ(c[t], sentinel) << where << " wrote past C at " << t;
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmSmallPath, DisabledLimitForcesPackedRouteDeterministically) {
