@@ -14,11 +14,9 @@
 #include "nn/activation.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/quantized.h"
 #include "op/gmm.h"
 #include "op/kde.h"
 #include "tensor/gemm.h"
-#include "tensor/qgemm.h"
 #include "tensor/tensor_ops.h"
 #include "util/resource.h"
 
@@ -180,26 +178,6 @@ BENCHMARK(BM_MatMulKernel)
     ->Args({256, 2})
     ->Args({256, 3});
 
-// int8 GEMM against the float packed path at the same square shapes:
-// items/s counts madds like BM_MatMul, so the int8 speedup reads
-// directly off the two tables. Quantization of the weight matrix is
-// setup (done once per layer in QuantizedClassifier); the measured loop
-// pays activation quantization + integer kernels + dequantization,
-// exactly what serving pays per batch.
-void BM_QGemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const Tensor a = Tensor::randn({n, n}, rng);
-  const Tensor b = Tensor::randn({n, n}, rng);
-  const QuantizedMatrix qb = QuantizedMatrix::quantize(b);
-  state.SetLabel(qgemm_path_name(active_qgemm_path()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qgemm(a, qb));
-  }
-  set_gemm_counters(state, n, n, n);
-}
-BENCHMARK(BM_QGemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_MatMulTransposeA(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
@@ -287,10 +265,9 @@ Classifier make_digit_model(Rng& rng) {
   return Classifier(std::move(net), 10);
 }
 
-// Serving-tier forward pass, float vs int8: predict_batch on the digit
-// model at micro-batch sizes the online service coalesces. Items/s
-// counts samples; the quantized variant is the BM_PredictBatch row's
-// direct comparison (same model weights, same inputs).
+// Serving-tier forward pass: predict_batch on the digit model at
+// micro-batch sizes the online service coalesces. Items/s counts
+// samples.
 void BM_PredictBatch(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   Rng rng(21);
@@ -306,24 +283,6 @@ void BM_PredictBatch(benchmark::State& state) {
   set_rss_counter(state);
 }
 BENCHMARK(BM_PredictBatch)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_PredictBatchQuant(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(21);
-  Classifier model = make_digit_model(rng);
-  QuantizedClassifier quant(model);
-  const Tensor inputs = Tensor::rand_uniform({batch, 64}, rng);
-  std::vector<int> labels(batch);
-  state.SetLabel(qgemm_path_name(active_qgemm_path()));
-  for (auto _ : state) {
-    quant.predict_batch(inputs, labels);
-    benchmark::DoNotOptimize(labels.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-  set_rss_counter(state);
-}
-BENCHMARK(BM_PredictBatchQuant)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_InputGradient(benchmark::State& state) {
   Rng rng(4);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "data/generators.h"
+#include "detect/density_detector.h"
 #include "naturalness/density_naturalness.h"
 #include "nn/activation.h"
 #include "nn/dense.h"
@@ -77,7 +78,9 @@ int main() {
   serve::ServiceConfig config;
   config.max_batch = 16;
   config.max_delay_us = 200;
-  serve::DetectionService service(model.clone(), profile, tau, config,
+  auto detector = std::make_shared<DensityDetector>(profile);
+  detector->set_threshold(tau);
+  serve::DetectionService service(model.clone(), std::move(detector), config,
                                   std::move(trigger));
   service.start();
 

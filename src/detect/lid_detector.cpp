@@ -55,20 +55,14 @@ double lid_estimate(std::span<const float> query, const Tensor& bank,
 }  // namespace
 
 LidDetector::LidDetector(const Classifier& model, LidConfig config)
-    : model_(model.clone_scorer()), config_(config) {
-  OPAD_EXPECTS(config_.neighbors >= 1);
-  OPAD_EXPECTS(config_.max_reference >= 2);
-}
-
-LidDetector::LidDetector(const QuantizedClassifier& model, LidConfig config)
-    : model_(model.clone_scorer()), config_(config) {
+    : model_(model.clone()), config_(config) {
   OPAD_EXPECTS(config_.neighbors >= 1);
   OPAD_EXPECTS(config_.max_reference >= 2);
 }
 
 LidDetector::LidDetector(const LidDetector& other)
     : Detector(other),
-      model_(other.model_->clone_scorer()),
+      model_(other.model_.clone()),
       config_(other.config_),
       bank_(other.bank_) {}
 
@@ -84,7 +78,7 @@ void LidDetector::fit(const Dataset& reference, Rng& rng) {
     }
   }
   ActivationTape tape;
-  model_->logits(rows, &tape);
+  model_.logits(rows, &tape);
   bank_ = std::make_shared<const std::vector<Tensor>>(std::move(tape.layers));
 }
 
@@ -99,7 +93,7 @@ void LidDetector::score_batch(const Tensor& inputs,
   OPAD_EXPECTS(out.size() == inputs.dim(0));
   const std::size_t n = inputs.dim(0);
   ActivationTape tape;
-  model_->logits(inputs, &tape);
+  model_.logits(inputs, &tape);
   const std::vector<Tensor>& bank = *bank_;
   OPAD_ENSURES(tape.layer_count() == bank.size());
   const std::size_t layers = bank.size();

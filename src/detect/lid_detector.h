@@ -16,7 +16,6 @@
 
 #include "detect/detector.h"
 #include "nn/model.h"
-#include "nn/quantized.h"
 
 namespace opad {
 
@@ -36,14 +35,8 @@ class LidDetector : public Detector {
   /// from the campaign's point of view).
   LidDetector(const Classifier& model, LidConfig config);
 
-  /// int8 variant: the traced forward runs through a private quantized
-  /// replica (opt-in; see DESIGN.md "Quantized inference") whose tape
-  /// records the dequantized per-layer activations, so the estimator is
-  /// unchanged.
-  LidDetector(const QuantizedClassifier& model, LidConfig config);
-
   std::string name() const override { return "LID"; }
-  std::size_t dim() const override { return model_->input_dim(); }
+  std::size_t dim() const override { return model_.input_dim(); }
   void fit(const Dataset& reference, Rng& rng) override;
   bool fitted() const override { return bank_ != nullptr; }
   void score_batch(const Tensor& inputs,
@@ -58,8 +51,8 @@ class LidDetector : public Detector {
  private:
   LidDetector(const LidDetector& other);
 
-  // Private replica (float or int8); layer caches are scratch.
-  std::unique_ptr<ForwardScorer> model_;
+  // Private replica; layer caches are scratch.
+  mutable Classifier model_;
   LidConfig config_;
   /// Per-layer clean activation banks [m, d_l]; immutable once fitted and
   /// shared across thread replicas.

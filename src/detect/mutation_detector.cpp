@@ -30,8 +30,8 @@ MutationDetector::MutationDetector(const Classifier& model,
 MutationDetector::MutationDetector(const MutationDetector& other)
     : Detector(other), model_(other.model_.clone()), config_(other.config_) {
   replicas_.reserve(other.replicas_.size());
-  for (const auto& rep : other.replicas_) {
-    replicas_.push_back(rep->clone_scorer());
+  for (const Classifier& rep : other.replicas_) {
+    replicas_.push_back(rep.clone());
   }
 }
 
@@ -52,11 +52,7 @@ void MutationDetector::fit(const Dataset& reference, Rng& rng) {
         v += static_cast<float>(scale * stream.normal());
       }
     }
-    if (config_.quantize_replicas) {
-      replicas_.push_back(std::make_unique<QuantizedClassifier>(replica));
-    } else {
-      replicas_.push_back(std::make_unique<Classifier>(std::move(replica)));
-    }
+    replicas_.push_back(std::move(replica));
   }
 }
 
@@ -73,8 +69,8 @@ void MutationDetector::score_batch(const Tensor& inputs,
   // so the score is trivially bit-identical for any batch composition.
   std::vector<int> mutated(n);
   std::vector<std::size_t> changed(n, 0);
-  for (const auto& replica : replicas_) {
-    replica->predict_batch(inputs, mutated);
+  for (Classifier& replica : replicas_) {
+    replica.predict_batch(inputs, mutated);
     for (std::size_t r = 0; r < n; ++r) {
       if (mutated[r] != base[r]) ++changed[r];
     }

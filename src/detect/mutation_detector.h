@@ -15,7 +15,6 @@
 
 #include "detect/detector.h"
 #include "nn/model.h"
-#include "nn/quantized.h"
 
 namespace opad {
 
@@ -25,11 +24,6 @@ struct MutationConfig {
   /// Noise scale, relative to each parameter tensor's RMS: every element
   /// receives sigma * rms(tensor) * N(0, 1).
   double sigma = 0.05;
-  /// Serve each perturbed replica through an int8 snapshot (opt-in; see
-  /// DESIGN.md "Quantized inference"). Mutation still perturbs float
-  /// weights — quantization happens after the noise is applied, so the
-  /// replica bank is the same pure function of the fit-time RNG state.
-  bool quantize_replicas = false;
 };
 
 class MutationDetector : public Detector {
@@ -57,9 +51,8 @@ class MutationDetector : public Detector {
 
   mutable Classifier model_;  // unmutated reference predictions
   MutationConfig config_;
-  // Perturbed replicas: float Classifiers, or int8 snapshots when
-  // config_.quantize_replicas is set.
-  std::vector<std::unique_ptr<ForwardScorer>> replicas_;
+  // Perturbed replicas; layer caches are scratch.
+  mutable std::vector<Classifier> replicas_;
 };
 
 }  // namespace opad

@@ -75,18 +75,7 @@ Tensor squeeze_median_filter(const Tensor& x, const SqueezeConfig& config) {
 }
 
 SqueezeDetector::SqueezeDetector(const Classifier& model, SqueezeConfig config)
-    : model_(model.clone_scorer()), config_(config) {
-  OPAD_EXPECTS_MSG(bit_depth_enabled(config_) || median_enabled(config_),
-                   "at least one squeezer must be enabled");
-  if (median_enabled(config_)) {
-    OPAD_EXPECTS_MSG(config_.median_window % 2 == 1,
-                     "median window must be odd");
-  }
-}
-
-SqueezeDetector::SqueezeDetector(const QuantizedClassifier& model,
-                                 SqueezeConfig config)
-    : model_(model.clone_scorer()), config_(config) {
+    : model_(model.clone()), config_(config) {
   OPAD_EXPECTS_MSG(bit_depth_enabled(config_) || median_enabled(config_),
                    "at least one squeezer must be enabled");
   if (median_enabled(config_)) {
@@ -97,7 +86,7 @@ SqueezeDetector::SqueezeDetector(const QuantizedClassifier& model,
 
 SqueezeDetector::SqueezeDetector(const SqueezeDetector& other)
     : Detector(other),
-      model_(other.model_->clone_scorer()),
+      model_(other.model_.clone()),
       config_(other.config_),
       fitted_(other.fitted_) {}
 
@@ -111,15 +100,15 @@ void SqueezeDetector::score_batch(const Tensor& inputs,
   OPAD_EXPECTS_MSG(fitted_, "SqueezeDetector is not fitted");
   OPAD_EXPECTS(inputs.rank() == 2 && inputs.dim(1) == dim());
   OPAD_EXPECTS(out.size() == inputs.dim(0));
-  const Tensor probs = model_->probabilities(inputs);
+  const Tensor probs = model_.probabilities(inputs);
   std::fill(out.begin(), out.end(), 0.0);
   if (bit_depth_enabled(config_)) {
-    const Tensor squeezed = model_->probabilities(
+    const Tensor squeezed = model_.probabilities(
         squeeze_bit_depth(inputs, config_));
     fold_l1_divergence(probs, squeezed, out);
   }
   if (median_enabled(config_)) {
-    const Tensor squeezed = model_->probabilities(
+    const Tensor squeezed = model_.probabilities(
         squeeze_median_filter(inputs, config_));
     fold_l1_divergence(probs, squeezed, out);
   }

@@ -12,7 +12,6 @@
 
 #include "detect/detector.h"
 #include "nn/model.h"
-#include "nn/quantized.h"
 
 namespace opad {
 
@@ -34,13 +33,8 @@ class SqueezeDetector : public Detector {
   /// queries to the attacked model's budget.
   SqueezeDetector(const Classifier& model, SqueezeConfig config);
 
-  /// int8 variant: predictions run through a private quantized replica
-  /// (opt-in; see DESIGN.md "Quantized inference"). The statistic and
-  /// threshold semantics are unchanged.
-  SqueezeDetector(const QuantizedClassifier& model, SqueezeConfig config);
-
   std::string name() const override { return "FeatureSqueeze"; }
-  std::size_t dim() const override { return model_->input_dim(); }
+  std::size_t dim() const override { return model_.input_dim(); }
   /// Purely model-based — fit() only records that the reference was seen
   /// (the interface requires a fit before scoring).
   void fit(const Dataset& reference, Rng& rng) override;
@@ -52,8 +46,8 @@ class SqueezeDetector : public Detector {
  private:
   SqueezeDetector(const SqueezeDetector& other);
 
-  // Private replica (float or int8); layer caches are scratch.
-  std::unique_ptr<ForwardScorer> model_;
+  // Private replica; layer caches are scratch.
+  mutable Classifier model_;
   SqueezeConfig config_;
   bool fitted_ = false;
 };

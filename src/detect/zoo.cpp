@@ -21,23 +21,13 @@ std::unique_ptr<Detector> make_detector(const std::string& name,
     return std::make_unique<DensityDetector>(config.density);
   }
   if (name == "LID") {
-    if (config.quantized_inference) {
-      return std::make_unique<LidDetector>(QuantizedClassifier(model),
-                                           config.lid);
-    }
     return std::make_unique<LidDetector>(model, config.lid);
   }
   if (name == "FeatureSqueeze") {
-    if (config.quantized_inference) {
-      return std::make_unique<SqueezeDetector>(QuantizedClassifier(model),
-                                               config.squeeze);
-    }
     return std::make_unique<SqueezeDetector>(model, config.squeeze);
   }
   if (name == "MutationScore") {
-    MutationConfig mutation = config.mutation;
-    mutation.quantize_replicas |= config.quantized_inference;
-    return std::make_unique<MutationDetector>(model, mutation);
+    return std::make_unique<MutationDetector>(model, config.mutation);
   }
   std::ostringstream os;
   os << "unknown detector '" << name << "'; expected one of {";

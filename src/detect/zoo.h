@@ -21,10 +21,6 @@ struct DetectorZooConfig {
   LidConfig lid;
   SqueezeConfig squeeze;
   MutationConfig mutation;
-  /// Serve the model-based members (LID, FeatureSqueeze, MutationScore)
-  /// through int8 snapshots of `model` (opt-in; see DESIGN.md "Quantized
-  /// inference"). Density scores inputs directly and is unaffected.
-  bool quantized_inference = false;
 };
 
 /// Names accepted by make_detector, in zoo order:

@@ -45,16 +45,6 @@ Sequential Sequential::clone() const {
   return copy;
 }
 
-Layer& Sequential::layer(std::size_t i) {
-  OPAD_EXPECTS(i < layers_.size());
-  return *layers_[i];
-}
-
-const Layer& Sequential::layer(std::size_t i) const {
-  OPAD_EXPECTS(i < layers_.size());
-  return *layers_[i];
-}
-
 Tensor Sequential::forward(const Tensor& input, bool training,
                            ActivationTape* tape) {
   OPAD_EXPECTS_MSG(input.rank() == 2 && input.dim(1) == input_dim_,

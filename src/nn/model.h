@@ -31,11 +31,10 @@ struct ActivationTape {
 
 /// Minimal polymorphic forward-pass interface: everything a consumer
 /// that only *queries* a model needs (logits, probabilities, argmax
-/// labels, query accounting), with none of the training surface. The
-/// float Classifier and the int8 QuantizedClassifier (nn/quantized.h)
-/// both implement it, so the serving layer and the detector zoo can
-/// hold either behind one pointer and a quantized snapshot can stand in
-/// for the float model anywhere inference is all that is asked.
+/// labels, query accounting), with none of the training surface.
+/// Classifier implements it; the serving layer holds its model behind
+/// this interface, so a wrapper (e.g. a timing decorator around a
+/// Classifier) can stand in wherever inference is all that is asked.
 class ForwardScorer {
  public:
   virtual ~ForwardScorer() = default;
@@ -69,8 +68,7 @@ class ForwardScorer {
   /// so each thread can score on its own copy.
   virtual std::unique_ptr<ForwardScorer> clone_scorer() const = 0;
 
-  /// Numeric format of the forward pass, e.g. "float32" / "int8" —
-  /// logged by serving and recorded in bench CSVs.
+  /// Numeric format of the forward pass ("float32" for Classifier).
   virtual const char* precision() const = 0;
 
  protected:
@@ -107,12 +105,6 @@ class Sequential {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return output_dim_; }
   std::size_t layer_count() const { return layers_.size(); }
-
-  /// Direct access to layer `i` (0-based, in forward order). The
-  /// quantized snapshot builder walks the stack through this to find
-  /// the Dense/Conv2D layers whose weights it pre-quantizes.
-  Layer& layer(std::size_t i);
-  const Layer& layer(std::size_t i) const;
 
   /// Forward pass over a [n, input_dim] batch. A non-null `tape` records
   /// every layer's output (see ActivationTape); the computed result is

@@ -2,15 +2,9 @@
 
 #include <vector>
 
-#include "detect/density_detector.h"
 #include "util/error.h"
 
 namespace opad::serve {
-
-void log_density_batch(const OperationalProfile& profile,
-                       const Tensor& inputs, std::span<double> out) {
-  opad::log_density_batch(profile, inputs, out);
-}
 
 void score_batch(ForwardScorer& model, const Detector& detector,
                  const Tensor& inputs, std::span<DetectResult> out) {
@@ -25,22 +19,6 @@ void score_batch(ForwardScorer& model, const Detector& detector,
     out[r].label = labels[r];
     out[r].naturalness = naturalness[r];
     out[r].natural = naturalness[r] >= threshold;
-  }
-}
-
-void score_batch(ForwardScorer& model, const OperationalProfile& profile,
-                 double tau, const Tensor& inputs,
-                 std::span<DetectResult> out) {
-  const std::size_t n = inputs.dim(0);
-  OPAD_EXPECTS(out.size() == n);
-  std::vector<int> labels(n);
-  model.predict_batch(inputs, labels);
-  std::vector<double> naturalness(n);
-  serve::log_density_batch(profile, inputs, naturalness);
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r].label = labels[r];
-    out[r].naturalness = naturalness[r];
-    out[r].natural = naturalness[r] >= tau;
   }
 }
 

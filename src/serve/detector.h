@@ -6,34 +6,18 @@
 
 #include "detect/detector.h"
 #include "nn/model.h"
-#include "op/profile.h"
 #include "serve/types.h"
 #include "tensor/tensor.h"
 
 namespace opad::serve {
 
-/// Writes log p_OP(row) for every row of `inputs` [n, d] into `out`
-/// (size n). Thin alias of opad::log_density_batch (the sweep now lives
-/// with DensityDetector in src/detect); kept so serve callers and the
-/// invariance tests keep their spelling.
-void log_density_batch(const OperationalProfile& profile,
-                       const Tensor& inputs, std::span<double> out);
-
 /// Scores one micro-batch with any zoo detector: model labels via a
 /// single predict_batch, naturalness via Detector::score_batch, verdicts
 /// at the detector's own threshold. Every output row is a pure function
 /// of its own input row, so results are invariant to how requests were
-/// coalesced into batches. `model` is any ForwardScorer — the float
-/// Classifier or an int8 QuantizedClassifier snapshot serve through the
-/// same call.
+/// coalesced into batches. `model` is any ForwardScorer (the service's
+/// Classifier, or a decorator around one).
 void score_batch(ForwardScorer& model, const Detector& detector,
                  const Tensor& inputs, std::span<DetectResult> out);
-
-/// Legacy profile/tau spelling: density naturalness thresholded at tau
-/// (bitwise what the Detector overload computes for a DensityDetector
-/// with threshold tau).
-void score_batch(ForwardScorer& model, const OperationalProfile& profile,
-                 double tau, const Tensor& inputs,
-                 std::span<DetectResult> out);
 
 }  // namespace opad::serve

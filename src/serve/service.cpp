@@ -1,5 +1,7 @@
 #include "serve/service.h"
 
+#include <algorithm>
+#include <cmath>
 #include <exception>
 #include <sstream>
 #include <utility>
@@ -14,7 +16,7 @@ namespace opad::serve {
 
 namespace {
 
-/// The legacy {profile, tau} pair as a zoo detector.
+/// A refit's {profile, tau} pair as a zoo detector.
 std::shared_ptr<const Detector> wrap_profile(ProfilePtr profile, double tau) {
   OPAD_EXPECTS(profile != nullptr);
   auto detector = std::make_shared<DensityDetector>(std::move(profile));
@@ -52,22 +54,6 @@ DetectionService::DetectionService(Classifier model,
               std::make_unique<Classifier>(std::move(model))),
           std::move(detector), config, std::move(trigger)) {}
 
-DetectionService::DetectionService(QuantizedClassifier model,
-                                   std::shared_ptr<const Detector> detector,
-                                   ServiceConfig config,
-                                   std::unique_ptr<OnlineDriftTrigger> trigger)
-    : DetectionService(
-          std::unique_ptr<ForwardScorer>(
-              std::make_unique<QuantizedClassifier>(std::move(model))),
-          std::move(detector), config, std::move(trigger)) {}
-
-DetectionService::DetectionService(Classifier model, ProfilePtr profile,
-                                   double tau, ServiceConfig config,
-                                   std::unique_ptr<OnlineDriftTrigger> trigger)
-    : DetectionService(std::move(model),
-                       wrap_profile(std::move(profile), tau), config,
-                       std::move(trigger)) {}
-
 DetectionService::~DetectionService() { stop(); }
 
 void DetectionService::start() {
@@ -83,10 +69,19 @@ void DetectionService::stop() {
 
 std::optional<std::future<DetectResult>> DetectionService::reject_malformed(
     const Tensor& x) const {
-  if (x.rank() == 1 && x.dim(0) == model_->input_dim()) return std::nullopt;
+  const bool shaped = x.rank() == 1 && x.dim(0) == model_->input_dim();
+  const auto data = x.data();
+  const auto bad = std::find_if_not(data.begin(), data.end(),
+                                    [](float v) { return std::isfinite(v); });
+  if (shaped && bad == data.end()) return std::nullopt;
   std::ostringstream os;
-  os << "DetectionService expects a flat input of " << model_->input_dim()
-     << " features, got " << shape_to_string(x.shape());
+  if (!shaped) {
+    os << "DetectionService expects a flat input of " << model_->input_dim()
+       << " features, got " << shape_to_string(x.shape());
+  } else {
+    os << "DetectionService expects finite inputs, got " << *bad
+       << " at feature " << (bad - data.begin());
+  }
   std::promise<DetectResult> rejected;
   rejected.set_exception(std::make_exception_ptr(PreconditionError(os.str())));
   return rejected.get_future();

@@ -30,7 +30,6 @@
 
 #include "detect/detector.h"
 #include "nn/model.h"
-#include "nn/quantized.h"
 #include "serve/drift_trigger.h"
 #include "serve/types.h"
 #include "util/channel.h"
@@ -48,23 +47,10 @@ class DetectionService {
                    ServiceConfig config,
                    std::unique_ptr<OnlineDriftTrigger> trigger = nullptr);
 
-  /// int8 serving: the scheduler's per-tick predict_batch runs through
-  /// the quantized snapshot (opt-in; see DESIGN.md "Quantized
-  /// inference"). Detector scoring is unchanged.
-  DetectionService(QuantizedClassifier model,
-                   std::shared_ptr<const Detector> detector,
-                   ServiceConfig config,
-                   std::unique_ptr<OnlineDriftTrigger> trigger = nullptr);
-
-  /// Fully general spelling: serve any ForwardScorer.
+  /// Fully general spelling: serve any ForwardScorer (e.g. a timing
+  /// decorator around a Classifier).
   DetectionService(std::unique_ptr<ForwardScorer> model,
                    std::shared_ptr<const Detector> detector,
-                   ServiceConfig config,
-                   std::unique_ptr<OnlineDriftTrigger> trigger = nullptr);
-
-  /// Legacy profile/tau spelling: wraps the pair as a DensityDetector
-  /// with threshold tau (bitwise the same scoring path).
-  DetectionService(Classifier model, ProfilePtr profile, double tau,
                    ServiceConfig config,
                    std::unique_ptr<OnlineDriftTrigger> trigger = nullptr);
 
@@ -86,8 +72,9 @@ class DetectionService {
   /// that batch throws, every future of the batch rethrows the exception
   /// and the service keeps serving later batches. Throws
   /// PreconditionError after stop(). A malformed input (not rank 1 with
-  /// input_dim() features) is never queued: its future already holds a
-  /// PreconditionError, and it counts as neither served nor shed.
+  /// input_dim() features, or holding a NaN or an infinity) is never
+  /// queued: its future already holds a PreconditionError, and it counts
+  /// as neither served nor shed.
   std::future<DetectResult> submit(Tensor x);
 
   /// Shedding admission: returns nullopt when the queue is full or the
@@ -96,9 +83,6 @@ class DetectionService {
   std::optional<std::future<DetectResult>> try_submit(Tensor x);
 
   ServiceStats stats() const;
-
-  /// Numeric format of the serving forward pass ("float32" / "int8").
-  const char* model_precision() const { return model_->precision(); }
 
   /// Current scoring snapshot (changes only on a drift-triggered re-fit).
   std::shared_ptr<const Detector> detector() const;

@@ -88,8 +88,8 @@ void pack_b(const Operand& b, std::size_t p0, std::size_t kb, std::size_t j0,
 
 /// A kernel's dispatch parameters: packed micro-kernel entry point, its
 /// B-panel width (also the byte alignment, in floats, its packed-B loads
-/// assume), and the small-path kernel. The fma plan runs the non-fused
-/// avx2 small kernel: the small path is never fused.
+/// assume), and the small-path kernel that replays the packed kernel's
+/// chains, so the two routes agree bitwise under every kernel.
 struct KernelPlan {
   detail::MicroKernelFn fn;
   std::size_t nr;
@@ -102,7 +102,7 @@ KernelPlan kernel_plan(GemmKernel kernel) {
     case GemmKernel::kAvx2:
       return {detail::micro_kernel_avx2, kNr, detail::small_kernel_avx2};
     case GemmKernel::kFma:
-      return {detail::micro_kernel_fma, kNr, detail::small_kernel_avx2};
+      return {detail::micro_kernel_fma, kNr, detail::small_kernel_fma};
     case GemmKernel::kAvx512:
       return {detail::micro_kernel_avx512, detail::kNrWide,
               detail::small_kernel_avx512};

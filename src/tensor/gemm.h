@@ -23,7 +23,8 @@
 // divergent, so it is never selected by default on portable builds. The
 // small-matrix fast path skips packing but replays the same association
 // in its own scalar, 8-wide and 16-wide kernels, so it is bitwise
-// neutral too (under fma it runs the non-fused 8-wide kernel).
+// neutral too (under fma it runs the 8-wide kernel with fused chains,
+// bitwise equal to the fused packed kernel).
 #pragma once
 
 #include <cstddef>

@@ -196,7 +196,8 @@ namespace {
 // The vector small kernels run the scalar kernel's chains in vector
 // lanes: lane j of accumulator (r, q) is the chain of C element
 // (row r, column q*width + j), started at zero, advanced k-ascending by
-// one multiply and one add per step, and added into C once per k block.
+// one multiply and one add per step (one fused multiply-add in the fma
+// kernel, as in micro_kernel_fma), and added into C once per k block.
 // A tile of R rows x NB column blocks keeps R*NB independent chains in
 // flight, enough to hide the add latency even for a single row. The
 // last block of a row loads and stores through a lane mask: masked-off
@@ -298,11 +299,14 @@ __attribute__((target("avx2"))) inline __m256i lane_mask8(std::size_t live) {
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-template <int R, int NB>
-__attribute__((target("avx2"))) void small_tile_avx2(const SmallBlock& blk,
-                                                     std::size_t i,
-                                                     std::size_t j,
-                                                     __m256i tail) {
+/// Fused = true replays micro_kernel_fma's chains instead: one
+/// single-rounded multiply-add per step. The non-fused instantiation
+/// carries no fused instruction even under the fma target, because the
+/// TU bans contraction (the same guarantee an -march=native build of
+/// the avx2 kernels rests on).
+template <bool Fused, int R, int NB>
+__attribute__((target("avx2,fma"))) void small_tile_avx2(
+    const SmallBlock& blk, std::size_t i, std::size_t j, __m256i tail) {
   __m256 acc[R][NB];
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
@@ -321,7 +325,11 @@ __attribute__((target("avx2"))) void small_tile_avx2(const SmallBlock& blk,
       const __m256 av = _mm256_set1_ps(a[r * blk.a_rs + kk * blk.a_cs]);
 #pragma GCC unroll 4
       for (int q = 0; q < NB; ++q) {
-        acc[r][q] = _mm256_add_ps(acc[r][q], _mm256_mul_ps(av, bv[q]));
+        if constexpr (Fused) {
+          acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+        } else {
+          acc[r][q] = _mm256_add_ps(acc[r][q], _mm256_mul_ps(av, bv[q]));
+        }
       }
     }
   }
@@ -339,30 +347,32 @@ __attribute__((target("avx2"))) void small_tile_avx2(const SmallBlock& blk,
   }
 }
 
-template <int R>
-__attribute__((target("avx2"))) void small_rows_avx2(const SmallBlock& blk,
-                                                     std::size_t i) {
+template <bool Fused, int R>
+__attribute__((target("avx2,fma"))) void small_rows_avx2(const SmallBlock& blk,
+                                                         std::size_t i) {
   const std::size_t blocks = (blk.n + 7) / 8;
   const __m256i full = _mm256_set1_epi32(-1);
   const __m256i tail = lane_mask8(blk.n - (blocks - 1) * 8);
   std::size_t q = 0;
   for (; q + kSmallBlocks < blocks; q += kSmallBlocks) {
-    small_tile_avx2<R, kSmallBlocks>(blk, i, 8 * q, full);
+    small_tile_avx2<Fused, R, kSmallBlocks>(blk, i, 8 * q, full);
   }
   switch (blocks - q) {
-    case 4: small_tile_avx2<R, 4>(blk, i, 8 * q, tail); break;
-    case 3: small_tile_avx2<R, 3>(blk, i, 8 * q, tail); break;
-    case 2: small_tile_avx2<R, 2>(blk, i, 8 * q, tail); break;
-    default: small_tile_avx2<R, 1>(blk, i, 8 * q, tail); break;
+    case 4: small_tile_avx2<Fused, R, 4>(blk, i, 8 * q, tail); break;
+    case 3: small_tile_avx2<Fused, R, 3>(blk, i, 8 * q, tail); break;
+    case 2: small_tile_avx2<Fused, R, 2>(blk, i, 8 * q, tail); break;
+    default: small_tile_avx2<Fused, R, 1>(blk, i, 8 * q, tail); break;
   }
 }
 
-__attribute__((target("avx2"))) void small_block_avx2(const SmallBlock& blk) {
+template <bool Fused>
+__attribute__((target("avx2,fma"))) void small_block_avx2(
+    const SmallBlock& blk) {
   std::size_t i = 0;
   for (; i + kSmallRowsAvx2 <= blk.m; i += kSmallRowsAvx2) {
-    small_rows_avx2<kSmallRowsAvx2>(blk, i);
+    small_rows_avx2<Fused, kSmallRowsAvx2>(blk, i);
   }
-  if (i < blk.m) small_rows_avx2<1>(blk, i);
+  if (i < blk.m) small_rows_avx2<Fused, 1>(blk, i);
 }
 
 // ---- 16-wide (zmm) ---------------------------------------------------
@@ -448,7 +458,13 @@ __attribute__((target("avx512f"))) void small_block_avx512(
 void small_kernel_avx2(std::size_t m, std::size_t n, std::size_t k,
                        std::size_t kc, const Operand& a, const Operand& b,
                        float* c) {
-  small_kernel_driver<small_block_avx2>(m, n, k, kc, a, b, c);
+  small_kernel_driver<small_block_avx2<false>>(m, n, k, kc, a, b, c);
+}
+
+void small_kernel_fma(std::size_t m, std::size_t n, std::size_t k,
+                      std::size_t kc, const Operand& a, const Operand& b,
+                      float* c) {
+  small_kernel_driver<small_block_avx2<true>>(m, n, k, kc, a, b, c);
 }
 
 void small_kernel_avx512(std::size_t m, std::size_t n, std::size_t k,

@@ -88,12 +88,13 @@ inline constexpr std::size_t kSmallPathRowBuffer = 256;
 /// Small-matrix fast path: computes C += op(A) * op(B) directly from the
 /// strided operands, skipping pack_a/pack_b. The caller must guarantee
 /// n <= kSmallPathRowBuffer and a row-major C with leading dimension n.
-/// Every kernel replays the packed path's association exactly — per C
-/// element one accumulator per kc-sized k block (separate multiply and
-/// add, k ascending), blocks added to C in ascending order — so all of
-/// them are bitwise identical to the scalar (and therefore AVX2 and
-/// AVX-512) packed kernel for every shape. A is only ever broadcast, so
-/// either layout of A is read in place.
+/// Every kernel replays its packed kernel's association exactly — per C
+/// element one accumulator per kc-sized k block (k ascending), blocks
+/// added to C in ascending order — so each is bitwise identical to the
+/// packed route of its dispatch for every shape: the scalar, AVX2 and
+/// AVX-512 ones (separate multiply and add) to the scalar packed kernel,
+/// the FMA one (fused multiply-add) to micro_kernel_fma. A is only ever
+/// broadcast, so either layout of A is read in place.
 using SmallKernelFn = void (*)(std::size_t m, std::size_t n, std::size_t k,
                                std::size_t kc, const Operand& a,
                                const Operand& b, float* c);
@@ -109,10 +110,14 @@ void small_kernel_scalar(std::size_t m, std::size_t n, std::size_t k,
 /// masked tail lanes, so they never read past B or write past C. A
 /// transposed B is transposed one k block at a time into the calling
 /// thread's ScratchArena first. Dispatched only after cpu_features()
-/// confirms the ISA, like the packed micro-kernels.
+/// confirms the ISA, like the packed micro-kernels. small_kernel_fma is
+/// the 8-wide tile with fused chains.
 void small_kernel_avx2(std::size_t m, std::size_t n, std::size_t k,
                        std::size_t kc, const Operand& a, const Operand& b,
                        float* c);
+void small_kernel_fma(std::size_t m, std::size_t n, std::size_t k,
+                      std::size_t kc, const Operand& a, const Operand& b,
+                      float* c);
 void small_kernel_avx512(std::size_t m, std::size_t n, std::size_t k,
                          std::size_t kc, const Operand& a, const Operand& b,
                          float* c);

@@ -584,109 +584,5 @@ TEST_F(DetectTest, ServiceDensityAccessorsStillWork) {
   EXPECT_EQ(service.tau(), density->threshold());
 }
 
-// ---------------------------------------------------------------------------
-// int8 inference through the zoo (DESIGN.md "Quantized inference").
-
-// The model-backed members built with quantized_inference serve their
-// forward passes through int8 snapshots: scores must track the float
-// zoo closely enough that calibrated verdicts agree on nearly every
-// clean input, and each quantized member must keep the zoo's own
-// replica bit-identity contract.
-TEST_F(DetectTest, QuantizedInferenceZooTracksFloatVerdicts) {
-  GlobalPoolGuard pool_guard;
-  DetectorZooConfig zc = zoo_config();
-  zc.quantized_inference = true;
-  const Tensor inputs = make_inputs(64);
-  const std::size_t n = inputs.dim(0);
-  for (const std::string name : {"LID", "FeatureSqueeze", "MutationScore"}) {
-    std::unique_ptr<Detector> quant =
-        make_detector(name, zc, *model_, profile_);
-    Rng rng(183);
-    quant->fit(task_->train, rng);
-    quant->calibrate(task_->test, 0.05);
-
-    std::vector<double> qs(n), fs(n);
-    quant->score_batch(inputs, qs);
-    const DetectorPtr& reference = find(name);
-    reference->score_batch(inputs, fs);
-
-    // Calibrated verdicts agree on nearly every clean input (scores may
-    // drift by quantization noise near the threshold).
-    std::size_t agree = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(std::isfinite(qs[i])) << name << " row " << i;
-      const bool qflag = qs[i] < quant->threshold();
-      const bool fflag = fs[i] < reference->threshold();
-      agree += qflag == fflag;
-    }
-    EXPECT_GE(agree, n - 3) << name;
-
-    // Replica bit-identity survives quantization: a thread replica
-    // re-quantizes its clone deterministically.
-    const std::shared_ptr<const Detector> replica = quant->thread_replica();
-    ASSERT_NE(replica, nullptr) << name;
-    std::vector<double> rs(n);
-    ThreadPool::configure_global(8);
-    replica->score_batch(inputs, rs);
-    ThreadPool::configure_global(0);
-    EXPECT_EQ(std::memcmp(qs.data(), rs.data(), n * sizeof(double)), 0)
-        << name;
-  }
-}
-
-TEST_F(DetectTest, MutationQuantizedReplicasStillScoreInRange) {
-  MutationConfig config;
-  config.replicas = 8;
-  config.quantize_replicas = true;
-  MutationDetector detector(*model_, config);
-  Rng rng(191);
-  detector.fit(task_->train, rng);
-  EXPECT_EQ(detector.replica_count(), 8u);
-  const Tensor inputs = make_inputs(16);
-  std::vector<double> scores(inputs.dim(0));
-  detector.score_batch(inputs, scores);
-  for (const double s : scores) {
-    EXPECT_GE(s, -1.0);
-    EXPECT_LE(s, 0.0);
-  }
-}
-
-// The online service can serve the int8 snapshot end to end: same
-// verdict plumbing, precision() reports the engine, and results match
-// a direct quantized score_batch bitwise.
-TEST_F(DetectTest, ServiceServesQuantizedSnapshot) {
-  const DetectorPtr& density = find("Density");
-  serve::ServiceConfig config;
-  config.max_batch = 4;
-  QuantizedClassifier quant(*model_);
-  serve::DetectionService service(std::move(quant), density, config);
-  EXPECT_STREQ(service.model_precision(), "int8");
-  service.start();
-
-  const std::size_t n = 10;
-  const Tensor inputs = make_inputs(n);
-  std::vector<std::future<serve::DetectResult>> futures;
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(service.submit(inputs.row(i)));
-  }
-  std::vector<serve::DetectResult> got;
-  for (auto& f : futures) got.push_back(f.get());
-  service.stop();
-
-  QuantizedClassifier reference(*model_);
-  std::vector<serve::DetectResult> want(n);
-  serve::score_batch(reference, *density, inputs, want);
-  std::vector<int> float_labels(n);
-  model_->clone().predict_batch(inputs, float_labels);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(got[i].label, want[i].label) << i;
-    EXPECT_EQ(got[i].naturalness, want[i].naturalness) << i;
-    EXPECT_EQ(got[i].natural, want[i].natural) << i;
-    // Density naturalness ignores the model, so only labels can move
-    // under quantization — and on this workload they do not.
-    EXPECT_EQ(got[i].label, float_labels[i]) << i;
-  }
-}
-
 }  // namespace
 }  // namespace opad

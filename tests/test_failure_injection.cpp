@@ -18,6 +18,7 @@
 #include "core/seed_sampler.h"
 #include "nn/serialize.h"
 #include "data/generators.h"
+#include "detect/density_detector.h"
 #include "naturalness/density_naturalness.h"
 #include "op/cells.h"
 #include "op/gmm.h"
@@ -168,6 +169,13 @@ TEST(FailureInjection, DensityNaturalnessNullProfileRejected) {
   EXPECT_THROW(DensityNaturalness{nullptr}, PreconditionError);
 }
 
+/// `profile` as a service detector that flags below `tau`.
+std::shared_ptr<const Detector> density_at(ProfilePtr profile, double tau) {
+  auto detector = std::make_shared<DensityDetector>(std::move(profile));
+  detector->set_threshold(tau);
+  return detector;
+}
+
 TEST(FailureInjection, ServiceRejectsMalformedRequestAndKeepsServing) {
   // A wrong-sized request used to reach Tensor::set_row on the scheduler
   // thread and terminate the process. Now only its own future fails.
@@ -179,9 +187,9 @@ TEST(FailureInjection, ServiceRejectsMalformedRequestAndKeepsServing) {
   Rng fit_rng(39);
   const ProfilePtr profile = std::make_shared<const GaussianMixtureModel>(
       GaussianMixtureModel::fit(task.train.inputs(), gmm_config, fit_rng));
-  const double tau = -4.0;
   const std::size_t dim = task.train.dim();
-  serve::DetectionService service(model.clone(), profile, tau,
+  const auto detector = density_at(profile, -4.0);
+  serve::DetectionService service(model.clone(), detector,
                                   serve::ServiceConfig{});
   service.start();
 
@@ -207,8 +215,7 @@ TEST(FailureInjection, ServiceRejectsMalformedRequestAndKeepsServing) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     serve::DetectResult want;
     Classifier replica = model.clone();
-    serve::score_batch(replica, *profile, tau,
-                       inputs[i].reshaped({1, dim}),
+    serve::score_batch(replica, *detector, inputs[i].reshaped({1, dim}),
                        std::span<serve::DetectResult>(&want, 1));
     const serve::DetectResult got = futures[i].get();
     EXPECT_EQ(got.label, want.label) << "request " << i;
@@ -217,6 +224,68 @@ TEST(FailureInjection, ServiceRejectsMalformedRequestAndKeepsServing) {
   }
   service.stop();
   EXPECT_EQ(service.stats().served, inputs.size());
+  EXPECT_EQ(service.stats().shed, 0u);
+}
+
+TEST(FailureInjection, NonFiniteRequestFailsOnlyItsFuture) {
+  // A NaN or infinite feature used to be queued and served, its verdict
+  // computed from a NaN row. Now it is rejected at admission like a
+  // wrong-sized input: never queued, neither served nor shed.
+  auto task = testing::make_ring_task(200, 40, 47);
+  Rng train_rng(48);
+  Classifier model = testing::train_mlp(task.train, 8, 5, train_rng);
+  GmmConfig gmm_config;
+  gmm_config.components = 3;
+  Rng fit_rng(49);
+  const auto detector = density_at(
+      std::make_shared<const GaussianMixtureModel>(GaussianMixtureModel::fit(
+          task.train.inputs(), gmm_config, fit_rng)),
+      -4.0);
+  const std::size_t dim = task.train.dim();
+  serve::ServiceConfig config;
+  config.max_batch = 8;
+  serve::DetectionService service(model.clone(), detector, config);
+
+  const auto input = [&](std::size_t i) {
+    const auto row = task.test.row(i);
+    return Tensor(Shape{dim}, std::vector<float>(row.begin(), row.end()));
+  };
+  const float poisons[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  // Queued before start(): any poisoned row admitted would be coalesced
+  // with the finite rows.
+  std::vector<Tensor> finite;
+  std::vector<std::future<serve::DetectResult>> served;
+  std::vector<std::future<serve::DetectResult>> rejected;
+  for (std::size_t p = 0; p < 3; ++p) {
+    Tensor poisoned = input(p);
+    poisoned.at(p % dim) = poisons[p];
+    finite.push_back(input(10 + p));
+    served.push_back(service.submit(finite.back()));
+    rejected.push_back(service.submit(poisoned));
+    auto shed_or_rejected = service.try_submit(poisoned);
+    ASSERT_TRUE(shed_or_rejected.has_value()) << "poison " << p;
+    rejected.push_back(std::move(*shed_or_rejected));
+  }
+  service.start();
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    EXPECT_THROW(rejected[i].get(), PreconditionError) << "request " << i;
+  }
+  finite.push_back(input(20));
+  served.push_back(service.submit(finite.back()));
+  for (std::size_t i = 0; i < finite.size(); ++i) {
+    serve::DetectResult want;
+    Classifier replica = model.clone();
+    serve::score_batch(replica, *detector, finite[i].reshaped({1, dim}),
+                       std::span<serve::DetectResult>(&want, 1));
+    const serve::DetectResult got = served[i].get();
+    EXPECT_EQ(got.label, want.label) << "request " << i;
+    EXPECT_EQ(got.naturalness, want.naturalness) << "request " << i;
+    EXPECT_EQ(got.natural, want.natural) << "request " << i;
+  }
+  service.stop();
+  EXPECT_EQ(service.stats().served, finite.size());
   EXPECT_EQ(service.stats().shed, 0u);
 }
 
@@ -302,7 +371,7 @@ TEST(FailureInjection, ThrowingRefitKeepsServingAndRetries) {
   Rng fit_rng(44);
   const ProfilePtr profile = std::make_shared<const GaussianMixtureModel>(
       GaussianMixtureModel::fit(task.train.inputs(), gmm_config, fit_rng));
-  const double tau = -4.0;
+  const auto detector = density_at(profile, -4.0);
   const std::size_t dim = task.train.dim();
 
   Rng rng(45);
@@ -328,7 +397,7 @@ TEST(FailureInjection, ThrowingRefitKeepsServingAndRetries) {
   serve::ServiceConfig config;
   config.max_batch = 8;
   config.max_delay_us = 100;
-  serve::DetectionService service(model.clone(), profile, tau, config,
+  serve::DetectionService service(model.clone(), detector, config,
                                   std::move(trigger));
   service.start();
 
@@ -340,7 +409,7 @@ TEST(FailureInjection, ThrowingRefitKeepsServingAndRetries) {
     const Tensor x = shifted.sample(stream_rng).x;
     const serve::DetectResult got = service.submit(x).get();
     serve::DetectResult want;
-    serve::score_batch(replica, *profile, tau, x.reshaped({1, dim}),
+    serve::score_batch(replica, *detector, x.reshaped({1, dim}),
                        std::span<serve::DetectResult>(&want, 1));
     if (got.label != want.label || got.naturalness != want.naturalness ||
         got.natural != want.natural) {

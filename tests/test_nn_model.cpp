@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -202,6 +204,42 @@ TEST(Classifier, QueryCountTracksRows) {
   EXPECT_EQ(model.query_count(), 8u);
   model.input_gradient(Tensor::randn({4}, rng), 0);
   EXPECT_EQ(model.query_count(), 9u);
+}
+
+TEST(Classifier, ScorerInterfaceCloneQueriesAndTape) {
+  // The ForwardScorer surface the service and its decorators hold a
+  // Classifier through: the tape ends in the logits, predict_batch is
+  // their argmax, and clone_scorer() is an independent, bitwise-equal
+  // replica with its own query counter.
+  Rng rng(59);
+  Classifier model = testing::make_mlp(4, 8, 3, rng);
+  const Tensor inputs = Tensor::randn({5, 4}, rng);
+
+  ActivationTape tape;
+  const Tensor logits = model.logits(inputs, &tape);
+  EXPECT_EQ(model.query_count(), 5u);
+  ASSERT_EQ(tape.layer_count(), model.network().layer_count());
+  EXPECT_EQ(tape.layers.back().shape(), logits.shape());
+  EXPECT_EQ(std::memcmp(tape.layers.back().data().data(),
+                        logits.data().data(), logits.size() * sizeof(float)),
+            0);
+
+  std::vector<int> labels(5);
+  model.predict_batch(inputs, labels);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(labels[i]), logits.row(i).argmax())
+        << "row " << i;
+  }
+
+  const std::unique_ptr<ForwardScorer> scorer = model.clone_scorer();
+  EXPECT_STREQ(scorer->precision(), "float32");
+  EXPECT_EQ(scorer->query_count(), 0u);
+  const Tensor cloned = scorer->logits(inputs);
+  EXPECT_EQ(std::memcmp(cloned.data().data(), logits.data().data(),
+                        logits.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(scorer->query_count(), 5u);
+  EXPECT_EQ(model.query_count(), 10u);  // logits + predict_batch
 }
 
 TEST(Classifier, InputGradientMatchesFiniteDifference) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/density_detector.h"
 #include "naturalness/density_naturalness.h"
 #include "op/class_conditional.h"
 #include "op/gmm.h"
@@ -173,6 +174,9 @@ class ServeTest : public ::testing::Test {
         ClassConditionalProfile::fit(task_->train, config, rng));
     const DensityNaturalness metric(profile_);
     tau_ = naturalness_threshold(metric, task_->test.inputs(), 0.05);
+    auto detector = std::make_shared<DensityDetector>(profile_);
+    detector->set_threshold(tau_);
+    detector_ = std::move(detector);
   }
   static void TearDownTestSuite() {
     delete model_;
@@ -180,6 +184,7 @@ class ServeTest : public ::testing::Test {
     model_ = nullptr;
     task_ = nullptr;
     profile_.reset();
+    detector_.reset();
   }
 
   /// Reference verdicts computed one row at a time, no batching, no
@@ -211,12 +216,15 @@ class ServeTest : public ::testing::Test {
   static Classifier* model_;
   static std::shared_ptr<const ClassConditionalProfile> profile_;
   static double tau_;
+  /// profile_ as the service's detector, thresholded at tau_.
+  static std::shared_ptr<const Detector> detector_;
 };
 
 testing::RingTask* ServeTest::task_ = nullptr;
 Classifier* ServeTest::model_ = nullptr;
 std::shared_ptr<const ClassConditionalProfile> ServeTest::profile_;
 double ServeTest::tau_ = 0.0;
+std::shared_ptr<const Detector> ServeTest::detector_;
 
 TEST_F(ServeTest, ScoreBatchMatchesPerRowReference) {
   const auto inputs = make_inputs(40, 93);
@@ -227,7 +235,7 @@ TEST_F(ServeTest, ScoreBatchMatchesPerRowReference) {
   }
   Classifier replica = model_->clone();
   std::vector<DetectResult> results(inputs.size());
-  serve::score_batch(replica, *profile_, tau_, batch, results);
+  serve::score_batch(replica, *detector_, batch, results);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_EQ(results[i].label, expected[i].label);
     EXPECT_EQ(results[i].naturalness, expected[i].naturalness)
@@ -245,11 +253,11 @@ TEST_F(ServeTest, LogDensityBatchBitIdenticalAcrossThreadCounts) {
   }
   ThreadPool::configure_global(1);
   std::vector<double> serial(inputs.size());
-  serve::log_density_batch(*profile_, batch, serial);
+  log_density_batch(*profile_, batch, serial);
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool::configure_global(threads);
     std::vector<double> parallel(inputs.size());
-    serve::log_density_batch(*profile_, batch, parallel);
+    log_density_batch(*profile_, batch, parallel);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       EXPECT_EQ(parallel[i], serial[i])
           << "row " << i << " at " << threads << " threads";
@@ -270,7 +278,7 @@ TEST_F(ServeTest, BatchCompositionInvariance) {
       ServiceConfig config;
       config.max_batch = max_batch;
       config.max_delay_us = 100;
-      DetectionService service(model_->clone(), profile_, tau_, config);
+      DetectionService service(model_->clone(), detector_, config);
       service.start();
       std::vector<std::future<DetectResult>> futures;
       futures.reserve(inputs.size());
@@ -300,7 +308,7 @@ TEST_F(ServeTest, ConcurrentProducersGetCorrectResults) {
   ServiceConfig config;
   config.max_batch = 16;
   config.max_delay_us = 200;
-  DetectionService service(model_->clone(), profile_, tau_, config);
+  DetectionService service(model_->clone(), detector_, config);
   service.start();
   constexpr std::size_t kProducers = 4;
   std::vector<std::thread> producers;
@@ -330,7 +338,7 @@ TEST_F(ServeTest, QueueFullShedding) {
   config.queue_capacity = 4;
   config.max_batch = 4;
   // Not started: admissions queue up, so the bound is hit deterministically.
-  DetectionService service(model_->clone(), profile_, tau_, config);
+  DetectionService service(model_->clone(), detector_, config);
   std::vector<std::future<DetectResult>> futures;
   for (int i = 0; i < 4; ++i) {
     auto f = service.try_submit(inputs[i]);
@@ -350,7 +358,7 @@ TEST_F(ServeTest, QueueFullShedding) {
 
 TEST_F(ServeTest, SubmitAfterStopThrows) {
   ServiceConfig config;
-  DetectionService service(model_->clone(), profile_, tau_, config);
+  DetectionService service(model_->clone(), detector_, config);
   service.start();
   service.stop();
   EXPECT_THROW(service.submit(make_inputs(1, 98)[0]), PreconditionError);
@@ -382,7 +390,7 @@ TEST_F(ServeTest, DriftTriggeredRefitSwapsProfileWithoutStalling) {
   ServiceConfig config;
   config.max_batch = 8;
   config.max_delay_us = 100;
-  DetectionService service(model_->clone(), profile_, tau_, config,
+  DetectionService service(model_->clone(), detector_, config,
                            std::move(trigger));
   const ProfilePtr before = service.profile();
   service.start();
