@@ -14,6 +14,7 @@
 #include "nn/activation.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/optimizer.h"
 #include "op/gmm.h"
 #include "op/kde.h"
 #include "tensor/gemm.h"
@@ -59,8 +60,7 @@ BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // Small-shape GEMM, routed explicitly: second arg 0 measures the packed
 // path (fast-path limit 0), 1 measures the active kernel's small-path
-// kernel driven directly (squares past kGemmSmallPathMaxRows never
-// qualify for the dispatcher's gate).
+// kernel driven directly, whatever the dispatcher's gate says.
 void BM_MatMulSmall(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool fast_path = state.range(1) != 0;
@@ -96,20 +96,22 @@ BENCHMARK(BM_MatMulSmall)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// Row-skinny GEMM [m, d] x [d, d] — the dense-layer-on-few-samples /
-// surviving-attack-lanes shape the fast path exists for. Args: m; route
+// Row-skinny GEMM [m, d] x [d, d] — the shape of a dense layer on a
+// few samples, an attack lane batch or a training step. Args: m; route
 // (0 = packed, 1 = the active kernel's small-path kernel, whatever the
-// gate says); layout of B (0 = plain, as in every forward product;
-// 1 = stored transposed, as in backward_input's G * W^T); d. The m sweep
-// pins where the small kernel stops beating the packed route for each
-// layout, which is the data behind kGemmSmallPathMaxRows and
-// kGemmSmallPathMaxRowsTransB; the d = 256 rows the data behind
-// kGemmSmallPathDefaultLimit.
+// gate says); layout (0 = plain, as in every forward product; 1 = B
+// stored transposed, as in the input gradient G * W^T; 2 = A stored
+// transposed, as in the weight gradient X^T * G); d. The m sweep pins
+// where the small kernel stops beating the packed route in each layout,
+// which is the data behind kGemmSmallPathMaxRows; the d = 256 rows the
+// data behind kGemmSmallPathDefaultLimit.
 void BM_MatMulSkinny(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const bool fast_path = state.range(1) != 0;
+  const GemmTranspose trans_a =
+      state.range(2) == 2 ? GemmTranspose::kTranspose : GemmTranspose::kNone;
   const GemmTranspose trans_b =
-      state.range(2) != 0 ? GemmTranspose::kTranspose : GemmTranspose::kNone;
+      state.range(2) == 1 ? GemmTranspose::kTranspose : GemmTranspose::kNone;
   const auto d = static_cast<std::size_t>(state.range(3));
   const std::size_t previous_limit = gemm_small_path_limit();
   set_gemm_small_path_limit(0);
@@ -120,11 +122,11 @@ void BM_MatMulSkinny(benchmark::State& state) {
   for (auto _ : state) {
     c.fill(0.0f);
     if (fast_path) {
-      detail::gemm_small(m, d, d, a.data().data(), GemmTranspose::kNone,
-                         b.data().data(), trans_b, c.data().data());
+      detail::gemm_small(m, d, d, a.data().data(), trans_a, b.data().data(),
+                         trans_b, c.data().data());
     } else {
-      gemm(m, d, d, a.data().data(), GemmTranspose::kNone, b.data().data(),
-           trans_b, c.data().data());
+      gemm(m, d, d, a.data().data(), trans_a, b.data().data(), trans_b,
+           c.data().data());
     }
     benchmark::DoNotOptimize(c.data().data());
   }
@@ -132,12 +134,13 @@ void BM_MatMulSkinny(benchmark::State& state) {
   set_gemm_counters(state, m, d, d);
 }
 BENCHMARK(BM_MatMulSkinny)->Apply([](benchmark::internal::Benchmark* b) {
-  for (const std::int64_t layout : {0, 1}) {
-    for (const std::int64_t m : {1, 2, 3, 4, 6, 8, 10, 12, 16, 24, 32, 48}) {
+  for (const std::int64_t layout : {0, 1, 2}) {
+    for (const std::int64_t m :
+         {1, 2, 3, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64}) {
       b->Args({m, 0, layout, 64});
       b->Args({m, 1, layout, 64});
     }
-    for (const std::int64_t m : {1, 4, 16}) {
+    for (const std::int64_t m : {1, 4, 16, 32, 64}) {
       b->Args({m, 0, layout, 256});
       b->Args({m, 1, layout, 256});
     }
@@ -294,6 +297,31 @@ void BM_InputGradient(benchmark::State& state) {
   set_rss_counter(state);
 }
 BENCHMARK(BM_InputGradient);
+
+// One retraining step on the digit model at the trainer's batch of 32:
+// zero the gradients, forward + loss + parameter backward
+// (accumulate_gradients), then the momentum SGD update. The tiny learning
+// rate keeps the parameters near their start over the whole run: a
+// fixed batch trained to convergence drives the loss gradient into
+// subnormal floats, whose slow arithmetic no real retraining step pays.
+void BM_TrainStep(benchmark::State& state) {
+  Rng rng(6);
+  Classifier model = make_digit_model(rng);
+  const Tensor x = Tensor::rand_uniform({32, 64}, rng);
+  std::vector<int> labels(32);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i % 10);
+  }
+  Sequential& net = model.network();
+  Sgd opt(net.parameters(), net.gradients(), 1e-6, 0.9);
+  for (auto _ : state) {
+    net.zero_gradients();
+    benchmark::DoNotOptimize(model.accumulate_gradients(x, labels));
+    opt.step();
+  }
+  set_rss_counter(state);
+}
+BENCHMARK(BM_TrainStep);
 
 void BM_PgdAttack(benchmark::State& state) {
   Rng rng(5);

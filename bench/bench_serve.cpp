@@ -15,8 +15,9 @@
 // concurrency while p50 stays near the coalescing window.
 //
 // --smoke runs a seconds-scale variant of the same sweep (used by the
-// CI TSan and ASan soak legs); numbers from smoke mode are not
-// meaningful.
+// CI TSan and ASan soak legs) and writes serve_closed_loop_smoke.csv, so
+// the recorded serve_closed_loop.csv survives it; numbers from smoke mode
+// are not meaningful.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -167,7 +168,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout, "closed loop — P synchronous producers");
-  emit_table(table, "serve_closed_loop", columns, csv_rows);
+  emit_table(table, smoke ? "serve_closed_loop_smoke" : "serve_closed_loop",
+             columns, csv_rows);
 
   std::cout << "\ntotal wall time " << Table::num(watch.seconds(), 1)
             << "s\n";

@@ -16,7 +16,8 @@ class ReLU : public Layer {
   LayerPtr clone() const override { return std::make_unique<ReLU>(*this); }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   Tensor cached_input_;
 };
@@ -35,7 +36,8 @@ class LeakyReLU : public Layer {
   }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   float slope_;
   Tensor cached_input_;
@@ -52,7 +54,8 @@ class Tanh : public Layer {
   LayerPtr clone() const override { return std::make_unique<Tanh>(*this); }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   Tensor cached_output_;
 };
@@ -70,7 +73,8 @@ class Sigmoid : public Layer {
   }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   Tensor cached_output_;
 };

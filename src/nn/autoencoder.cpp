@@ -77,7 +77,7 @@ double Autoencoder::train(const Tensor& inputs, Rng& rng) {
       network_.zero_gradients();
       const Tensor out = network_.forward(batch, /*training=*/true);
       loss_sum += mse.loss(out, batch);
-      network_.backward(mse.gradient(out, batch));
+      network_.backward_params(mse.gradient(out, batch));
       opt.step();
       ++batches;
     }

@@ -75,7 +75,8 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
   return output;
 }
 
-Tensor Conv2D::backward_pass(const Tensor& grad_output, bool param_grads) {
+Tensor Conv2D::backward_pass(const Tensor& grad_output, bool input_grad,
+                             bool param_grads) {
   const std::size_t n = cached_batch_;
   OPAD_EXPECTS_MSG(grad_output.rank() == 2 && grad_output.dim(0) == n &&
                        grad_output.dim(1) == out_.features(),
@@ -113,6 +114,7 @@ Tensor Conv2D::backward_pass(const Tensor& grad_output, bool param_grads) {
       }
     });
   }
+  if (!input_grad) return {};
   // dX = col2im(W^T * dY), batched: one GEMM, then a per-sample scatter.
   const Tensor grad_cols = matmul_transpose_a(weight_, grad_maps);
   return col2im_batch(grad_cols, n, in_.channels, in_.height, in_.width,
@@ -180,11 +182,12 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
   return output;
 }
 
-Tensor MaxPool2D::backward_pass(const Tensor& grad_output,
+Tensor MaxPool2D::backward_pass(const Tensor& grad_output, bool input_grad,
                                 bool /*param_grads*/) {
   OPAD_EXPECTS(grad_output.rank() == 2 &&
                grad_output.dim(0) == cached_batch_ &&
                grad_output.dim(1) == out_.features());
+  if (!input_grad) return {};
   Tensor grad_input({cached_batch_, in_.features()});
   for (std::size_t s = 0; s < cached_batch_; ++s) {
     auto gin = grad_input.row_span(s);

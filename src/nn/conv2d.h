@@ -41,7 +41,8 @@ class Conv2D : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   ImageGeometry in_;
   ImageGeometry out_;
@@ -71,7 +72,8 @@ class MaxPool2D : public Layer {
   ImageGeometry output_geometry() const { return out_; }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   ImageGeometry in_;
   ImageGeometry out_;

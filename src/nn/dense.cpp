@@ -32,7 +32,8 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Dense::backward_pass(const Tensor& grad_output, bool param_grads) {
+Tensor Dense::backward_pass(const Tensor& grad_output, bool input_grad,
+                            bool param_grads) {
   OPAD_EXPECTS(grad_output.rank() == 2 && grad_output.dim(1) == out_);
   OPAD_EXPECTS_MSG(cached_input_.rank() == 2 &&
                        cached_input_.dim(0) == grad_output.dim(0),
@@ -41,6 +42,7 @@ Tensor Dense::backward_pass(const Tensor& grad_output, bool param_grads) {
     grad_weight_ += matmul_transpose_a(cached_input_, grad_output);
     grad_bias_ += sum_rows(grad_output);
   }
+  if (!input_grad) return {};
   return matmul_transpose_b(grad_output, weight_);
 }
 

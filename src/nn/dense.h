@@ -28,7 +28,8 @@ class Dense : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   std::size_t in_;
   std::size_t out_;

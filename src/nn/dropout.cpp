@@ -28,8 +28,9 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Dropout::backward_pass(const Tensor& grad_output,
+Tensor Dropout::backward_pass(const Tensor& grad_output, bool input_grad,
                               bool /*param_grads*/) {
+  if (!input_grad) return {};
   if (!last_training_ || rate_ == 0.0f) {
     return grad_output;
   }

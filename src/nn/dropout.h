@@ -27,7 +27,8 @@ class Dropout : public Layer {
   float rate() const { return rate_; }
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads) override;
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads) override;
 
   float rate_;
   Rng rng_;

@@ -38,7 +38,8 @@ class Layer {
   /// input, accumulating parameter gradients along the way. Must be called
   /// after forward() with a matching batch size.
   Tensor backward(const Tensor& grad_output) {
-    return backward_pass(grad_output, /*param_grads=*/true);
+    return backward_pass(grad_output, /*input_grad=*/true,
+                         /*param_grads=*/true);
   }
 
   /// The input half of backward(): the same input gradient, bit for bit,
@@ -46,7 +47,15 @@ class Layer {
   /// untouched. Attack gradients (Classifier::input_gradient_batch) take
   /// this path.
   Tensor backward_input(const Tensor& grad_output) {
-    return backward_pass(grad_output, /*param_grads=*/false);
+    return backward_pass(grad_output, /*input_grad=*/true,
+                         /*param_grads=*/false);
+  }
+
+  /// The parameter half of backward(): the same parameter gradients, bit
+  /// for bit, without forming the input gradient. A network's first layer
+  /// takes this path in training, where nothing reads that gradient.
+  void backward_params(const Tensor& grad_output) {
+    backward_pass(grad_output, /*input_grad=*/false, /*param_grads=*/true);
   }
 
   /// Trainable parameter tensors (possibly empty). Pointers remain valid
@@ -69,10 +78,11 @@ class Layer {
   virtual std::string name() const = 0;
 
  protected:
-  /// The one backward implementation behind backward() and
-  /// backward_input(); parameter gradients are accumulated only when
-  /// `param_grads` is set.
-  virtual Tensor backward_pass(const Tensor& grad_output,
+  /// The one backward implementation behind backward(), backward_input()
+  /// and backward_params(): the input gradient is formed only when
+  /// `input_grad` is set (otherwise an empty tensor is returned), and
+  /// parameter gradients are accumulated only when `param_grads` is set.
+  virtual Tensor backward_pass(const Tensor& grad_output, bool input_grad,
                                bool param_grads) = 0;
 
   /// Copying is reserved for the clone() implementations of concrete

@@ -1,5 +1,6 @@
 #include "nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/tensor_ops.h"
@@ -53,21 +54,39 @@ double SoftmaxCrossEntropy::loss(const Tensor& logits,
   return total / static_cast<double>(n);
 }
 
-Tensor SoftmaxCrossEntropy::gradient(const Tensor& logits,
-                                     std::span<const int> labels,
-                                     std::span<const double> weights) const {
+double SoftmaxCrossEntropy::loss_and_gradient(const Tensor& logits,
+                                              std::span<const int> labels,
+                                              std::span<const double> weights,
+                                              Tensor& grad) const {
   check_labels(logits, labels);
   const std::size_t n = logits.dim(0);
   const auto w = normalised_weights(weights, n);
-  Tensor grad = softmax_rows(logits);
+  if (grad.shape() != logits.shape()) grad = Tensor(logits.shape());
   const float inv_n = 1.0f / static_cast<float>(n);
+  double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    grad(i, static_cast<std::size_t>(labels[i])) -= 1.0f;
-    auto row = grad.row_span(i);
+    const auto z = logits.row_span(i);
+    const auto g = grad.row_span(i);
+    const auto y = static_cast<std::size_t>(labels[i]);
+    const float m = *std::max_element(z.begin(), z.end());
+    // Loss: log_softmax_rows' double normaliser.
+    double log_sum = 0.0;
+    for (float v : z) log_sum += std::exp(static_cast<double>(v) - m);
+    const float log_z = m + static_cast<float>(std::log(log_sum));
+    total -= w[i] * (z[y] - log_z);
+    // Gradient: softmax_rows' float exponentials, double-summed.
+    double exp_sum = 0.0;
+    for (std::size_t j = 0; j < z.size(); ++j) {
+      g[j] = std::exp(z[j] - m);
+      exp_sum += static_cast<double>(g[j]);
+    }
+    OPAD_ENSURES(exp_sum > 0.0);
+    for (float& v : g) v = static_cast<float>(static_cast<double>(v) / exp_sum);
+    g[y] -= 1.0f;
     const float scale = static_cast<float>(w[i]) * inv_n;
-    for (float& v : row) v *= scale;
+    for (float& v : g) v *= scale;
   }
-  return grad;
+  return total / static_cast<double>(n);
 }
 
 Tensor SoftmaxCrossEntropy::gradient_per_sample(

@@ -19,15 +19,24 @@ class SoftmaxCrossEntropy {
   double loss(const Tensor& logits, std::span<const int> labels,
               std::span<const double> weights = {}) const;
 
-  /// Gradient of the (weighted) mean loss w.r.t. logits; same shape.
-  Tensor gradient(const Tensor& logits, std::span<const int> labels,
-                  std::span<const double> weights = {}) const;
+  /// loss() and the gradient of that (weighted) mean loss w.r.t. logits
+  /// in one pass over the rows: returns the loss and overwrites `grad`
+  /// with the gradient (reshaped to the logits' shape when it differs).
+  /// The row walk shares the max, the label check and the normalised
+  /// weights, but keeps both sums of exponentials: the loss sums exp in
+  /// double as log_softmax_rows does, the gradient sums float exp as
+  /// softmax_rows does, so both results equal those two functions' bit
+  /// for bit.
+  double loss_and_gradient(const Tensor& logits, std::span<const int> labels,
+                           std::span<const double> weights,
+                           Tensor& grad) const;
 
   /// Gradient of the *per-sample* (unscaled) loss w.r.t. logits: row i is
   /// d loss_i / d logits_i with no 1/n averaging. Row i is bitwise equal to
-  /// gradient() on the single-row batch [logits_i], whose scale factor is
-  /// exactly 1.0f — this is what lets batched input gradients reproduce the
-  /// serial per-seed attack walk bit for bit.
+  /// the gradient of loss_and_gradient() on the single-row batch
+  /// [logits_i], whose scale factor is exactly 1.0f — this is what lets
+  /// batched input gradients reproduce the serial per-seed attack walk bit
+  /// for bit.
   Tensor gradient_per_sample(const Tensor& logits,
                              std::span<const int> labels) const;
 

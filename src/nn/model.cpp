@@ -74,19 +74,33 @@ Tensor Sequential::forward_prefix(const Tensor& input,
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-  return backward_pass(grad_output, /*param_grads=*/true);
+  return backward_pass(grad_output, /*input_grad=*/true,
+                       /*param_grads=*/true);
 }
 
 Tensor Sequential::backward_input(const Tensor& grad_output) {
-  return backward_pass(grad_output, /*param_grads=*/false);
+  return backward_pass(grad_output, /*input_grad=*/true,
+                       /*param_grads=*/false);
 }
 
-Tensor Sequential::backward_pass(const Tensor& grad_output,
+void Sequential::backward_params(const Tensor& grad_output) {
+  backward_pass(grad_output, /*input_grad=*/false, /*param_grads=*/true);
+}
+
+Tensor Sequential::backward_pass(const Tensor& grad_output, bool input_grad,
                                  bool param_grads) {
   OPAD_EXPECTS(grad_output.rank() == 2 && grad_output.dim(1) == output_dim_);
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = param_grads ? (*it)->backward(g) : (*it)->backward_input(g);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Layer& layer = *layers_[i];
+    if (!param_grads) {
+      g = layer.backward_input(g);
+    } else if (input_grad || i > 0) {
+      g = layer.backward(g);
+    } else {
+      layer.backward_params(g);
+      return {};
+    }
   }
   return g;
 }
@@ -175,9 +189,10 @@ double Classifier::accumulate_gradients(const Tensor& inputs,
                                         std::span<const double> weights) {
   queries_ += inputs.dim(0);
   const Tensor out = network_.forward(inputs, /*training=*/true);
-  const double loss_value = loss_fn_.loss(out, labels, weights);
-  const Tensor grad = loss_fn_.gradient(out, labels, weights);
-  network_.backward(grad);
+  Tensor grad;
+  const double loss_value =
+      loss_fn_.loss_and_gradient(out, labels, weights, grad);
+  network_.backward_params(grad);
   return loss_value;
 }
 

@@ -126,6 +126,11 @@ class Sequential {
   /// gradients neither computed nor touched.
   Tensor backward_input(const Tensor& grad_output);
 
+  /// Parameter-only backward pass: backward()'s parameter gradients, bit
+  /// for bit, without the gradient w.r.t. the input batch, which no
+  /// training step reads (the first layer runs Layer::backward_params).
+  void backward_params(const Tensor& grad_output);
+
   /// All trainable parameters / their gradients, flattened across layers.
   std::vector<Tensor*> parameters();
   std::vector<Tensor*> gradients();
@@ -136,7 +141,8 @@ class Sequential {
   std::vector<std::string> layer_names() const;
 
  private:
-  Tensor backward_pass(const Tensor& grad_output, bool param_grads);
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad,
+                       bool param_grads);
 
   std::size_t input_dim_;
   std::size_t output_dim_;
@@ -185,6 +191,9 @@ class Classifier : public ForwardScorer {
 
   /// Runs forward+backward and accumulates parameter gradients for a
   /// labelled batch; returns the mean loss. Callers own zeroing grads.
+  /// The gradients equal those of forward() plus the full backward(), bit
+  /// for bit; the input gradient, which nothing here reads, is skipped
+  /// (Sequential::backward_params).
   double accumulate_gradients(const Tensor& inputs,
                               std::span<const int> labels,
                               std::span<const double> weights = {});

@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "util/error.h"
 
 namespace opad {
@@ -36,22 +40,55 @@ Sgd::Sgd(std::vector<Tensor*> params, std::vector<Tensor*> grads, double lr,
   }
 }
 
+// Sgd::step runs four parameters per SSE instruction. Each lane performs
+// the scalar loop's own operations in its order, one rounding per
+// multiply and per add, so the update is bitwise the scalar one; this TU
+// is compiled with -ffp-contract=off (src/nn/CMakeLists.txt) so that an
+// FMA-capable target cannot fuse a multiply into the following add. The
+// weight-decay term is formed even at weight decay 0: g + 0 * p is not
+// always g (-0 + +0 is +0, and 0 * Inf is NaN).
 void Sgd::step() {
   const auto lr = static_cast<float>(lr_);
   const auto mu = static_cast<float>(momentum_);
   const auto wd = static_cast<float>(weight_decay_);
+#if defined(__SSE2__)
+  const __m128 lr4 = _mm_set1_ps(lr);
+  const __m128 mu4 = _mm_set1_ps(mu);
+  const __m128 wd4 = _mm_set1_ps(wd);
+#endif
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto p = params_[i]->data();
-    auto g = grads_[i]->data();
+    float* p = params_[i]->data().data();
+    const float* g = grads_[i]->data().data();
+    const std::size_t n = params_[i]->size();
+    std::size_t j = 0;
     if (momentum_ > 0.0) {
-      auto v = velocity_[i].data();
-      for (std::size_t j = 0; j < p.size(); ++j) {
+      float* v = velocity_[i].data().data();
+#if defined(__SSE2__)
+      for (; j + 4 <= n; j += 4) {
+        const __m128 pj = _mm_loadu_ps(p + j);
+        const __m128 grad =
+            _mm_add_ps(_mm_loadu_ps(g + j), _mm_mul_ps(wd4, pj));
+        const __m128 vj =
+            _mm_add_ps(_mm_mul_ps(mu4, _mm_loadu_ps(v + j)), grad);
+        _mm_storeu_ps(v + j, vj);
+        _mm_storeu_ps(p + j, _mm_sub_ps(pj, _mm_mul_ps(lr4, vj)));
+      }
+#endif
+      for (; j < n; ++j) {
         const float grad = g[j] + wd * p[j];
         v[j] = mu * v[j] + grad;
         p[j] -= lr * v[j];
       }
     } else {
-      for (std::size_t j = 0; j < p.size(); ++j) {
+#if defined(__SSE2__)
+      for (; j + 4 <= n; j += 4) {
+        const __m128 pj = _mm_loadu_ps(p + j);
+        const __m128 grad =
+            _mm_add_ps(_mm_loadu_ps(g + j), _mm_mul_ps(wd4, pj));
+        _mm_storeu_ps(p + j, _mm_sub_ps(pj, _mm_mul_ps(lr4, grad)));
+      }
+#endif
+      for (; j < n; ++j) {
         p[j] -= lr * (g[j] + wd * p[j]);
       }
     }

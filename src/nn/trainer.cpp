@@ -35,6 +35,13 @@ TrainHistory train_classifier(Classifier& model, const Tensor& inputs,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
 
+  // Step buffers, reused across steps: the batch tensor is rebuilt only
+  // when the batch size changes (the last batch of an epoch may be short).
+  const std::vector<Tensor*> grads = net.gradients();
+  Tensor batch;
+  std::vector<int> batch_labels;
+  std::vector<double> batch_weights;
+
   TrainHistory history;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.shuffle(order);
@@ -43,9 +50,10 @@ TrainHistory train_classifier(Classifier& model, const Tensor& inputs,
     for (std::size_t start = 0; start < n; start += config.batch_size) {
       const std::size_t end = std::min(start + config.batch_size, n);
       const std::size_t bs = end - start;
-      Tensor batch({bs, inputs.dim(1)});
-      std::vector<int> batch_labels(bs);
-      std::vector<double> batch_weights;
+      if (batch.rank() != 2 || batch.dim(0) != bs) {
+        batch = Tensor({bs, inputs.dim(1)});
+      }
+      batch_labels.resize(bs);
       if (!sample_weights.empty()) batch_weights.resize(bs);
       for (std::size_t b = 0; b < bs; ++b) {
         const std::size_t src = order[start + b];
@@ -53,7 +61,7 @@ TrainHistory train_classifier(Classifier& model, const Tensor& inputs,
         batch_labels[b] = labels[src];
         if (!sample_weights.empty()) batch_weights[b] = sample_weights[src];
       }
-      net.zero_gradients();
+      for (Tensor* g : grads) g->fill(0.0f);
       loss_sum += model.accumulate_gradients(batch, batch_labels,
                                              batch_weights);
       opt->step();

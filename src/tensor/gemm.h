@@ -75,17 +75,21 @@ void set_gemm_kernel(GemmKernel kernel);
 /// Gate of the small-matrix fast path that skips pack_a/pack_b: taken
 /// iff m <= kGemmSmallPathMaxRows, n <= kGemmSmallPathMaxCols and m*n*k
 /// <= gemm_small_path_limit(). The BM_MatMulSkinny bench (bench_m1_micro)
-/// measured the small kernels beating the packed route on every
-/// row-skinny shape it sweeps, in both layouts of B and up to a full k
-/// block at 256 columns: a dense layer on a single sample, the surviving
-/// lanes of a compacted attack batch, a service micro-batch. The row cap
-/// stops below the 32-row training and lane batches, which keep the
-/// packed route. See DESIGN.md "SIMD micro-kernel dispatch" for the data
-/// behind all three values.
-inline constexpr std::size_t kGemmSmallPathMaxRows = 16;
+/// measured the small kernels beating the packed route at every m up to
+/// 64 on 64-wide products, in all three layouts (plain, B transposed,
+/// A transposed), under the avx512 and avx2 kernels. So every product of
+/// a 32-row training step or attack lane batch runs here: the forward
+/// X*W, the input gradient G*W^T and the weight gradient X^T*G, whose m
+/// is the layer's fan-in. So do a dense layer on one sample and a service
+/// micro-batch. At 256 columns and a full k block the small kernels win
+/// up to 16 rows; beyond that the packed route's parallel C tiles catch
+/// up under avx2 at 4 threads, so the m*n*k ceiling stays at that
+/// [16, 256] x [256, 256] product. See DESIGN.md "SIMD micro-kernel
+/// dispatch" for the data behind all three values.
+inline constexpr std::size_t kGemmSmallPathMaxRows = 64;
 inline constexpr std::size_t kGemmSmallPathMaxCols = 256;
 inline constexpr std::size_t kGemmSmallPathDefaultLimit =
-    kGemmSmallPathMaxRows * kGemmSmallPathMaxCols * 256;
+    16 * kGemmSmallPathMaxCols * 256;
 
 /// Current fast-path m*n*k ceiling. 0 means the fast path is disabled
 /// and every shape takes the packed route.
@@ -126,8 +130,8 @@ namespace detail {
 
 /// The active kernel's small-path kernel on C += op(A) * op(B), bypassing
 /// the gate (n must still be <= kGemmSmallPathMaxCols). The
-/// BM_MatMulSmall / BM_MatMulSkinny benches time it past the gate, where
-/// gemm() would pack.
+/// BM_MatMulSmall / BM_MatMulSkinny benches time it against the packed
+/// route on either side of the gate.
 void gemm_small(std::size_t m, std::size_t n, std::size_t k, const float* a,
                 GemmTranspose trans_a, const float* b, GemmTranspose trans_b,
                 float* c);

@@ -1,10 +1,15 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <ostream>
 #include <sstream>
+
+#include "tensor/tensor_ops.h"
 
 namespace opad {
 
@@ -190,7 +195,7 @@ void check_same_shape(const Tensor& a, const Tensor& b) {
 
 Tensor& Tensor::operator+=(const Tensor& other) {
   check_same_shape(*this, other);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  add_to(data_, other.data_);
   return *this;
 }
 
@@ -216,7 +221,15 @@ Tensor& Tensor::operator*=(float v) {
   return *this;
 }
 
-void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
+void Tensor::fill(float v) {
+  // +0 is all zero bytes; the element loop stays for every other value
+  // (-0 included).
+  if (std::bit_cast<std::uint32_t>(v) == 0 && !data_.empty()) {
+    std::memset(data_.data(), 0, data_.size() * sizeof(float));
+  } else {
+    std::fill(data_.begin(), data_.end(), v);
+  }
+}
 
 void Tensor::clamp(float lo, float hi) {
   OPAD_EXPECTS(lo <= hi);

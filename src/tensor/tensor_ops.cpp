@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "tensor/gemm.h"
 #include "util/parallel.h"
 
@@ -154,24 +158,29 @@ Tensor one_hot(std::span<const int> labels, std::size_t num_classes) {
   return out;
 }
 
+void add_to(std::span<float> dst, std::span<const float> src) {
+  OPAD_EXPECTS(dst.size() == src.size());
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  for (; i + 4 <= dst.size(); i += 4) {
+    _mm_storeu_ps(dst.data() + i, _mm_add_ps(_mm_loadu_ps(dst.data() + i),
+                                             _mm_loadu_ps(src.data() + i)));
+  }
+#endif
+  for (; i < dst.size(); ++i) dst[i] += src[i];
+}
+
 void add_bias_rows(Tensor& m, const Tensor& bias) {
   check_rank2(m, "m");
   OPAD_EXPECTS(bias.rank() == 1 && bias.dim(0) == m.dim(1));
-  const auto b = bias.data();
-  for (std::size_t i = 0; i < m.dim(0); ++i) {
-    auto row = m.row_span(i);
-    for (std::size_t j = 0; j < row.size(); ++j) row[j] += b[j];
-  }
+  for (std::size_t i = 0; i < m.dim(0); ++i) add_to(m.row_span(i), bias.data());
 }
 
 Tensor sum_rows(const Tensor& m) {
   check_rank2(m, "m");
   Tensor out({m.dim(1)});
-  auto o = out.data();
-  for (std::size_t i = 0; i < m.dim(0); ++i) {
-    auto row = m.row_span(i);
-    for (std::size_t j = 0; j < row.size(); ++j) o[j] += row[j];
-  }
+  // Row by row, so every column's sum still runs in row order.
+  for (std::size_t i = 0; i < m.dim(0); ++i) add_to(out.data(), m.row_span(i));
   return out;
 }
 

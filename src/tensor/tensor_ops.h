@@ -29,6 +29,11 @@ Tensor log_softmax_rows(const Tensor& logits);
 /// One-hot encodes labels into an [n, num_classes] tensor.
 Tensor one_hot(std::span<const int> labels, std::size_t num_classes);
 
+/// dst[i] += src[i] over two spans of equal length, four lanes at a time
+/// on SSE2 hosts; each element takes the one rounding of the scalar loop,
+/// so the result is bitwise the scalar one.
+void add_to(std::span<float> dst, std::span<const float> src);
+
 /// Adds row-vector `bias` ([k]) to every row of `m` ([n, k]) in place.
 void add_bias_rows(Tensor& m, const Tensor& bias);
 

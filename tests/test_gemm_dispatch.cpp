@@ -330,22 +330,36 @@ TEST(GemmDispatch, FmaKernelMatchesDoubleOracle) {
 constexpr GemmKernel kAllKernels[] = {GemmKernel::kScalar, GemmKernel::kAvx2,
                                       GemmKernel::kFma, GemmKernel::kAvx512};
 
+/// Row counts the small-path tests sweep: every m up to 16, which covers
+/// every remainder of the kernels' 2- and 4-row tiles, then the rows
+/// around the 32-row training and lane batches and the gate's cap.
+std::vector<std::size_t> small_path_rows() {
+  std::vector<std::size_t> rows;
+  for (std::size_t m = 1; m <= 16; ++m) rows.push_back(m);
+  for (const std::size_t m : {24, 31, 32, 33, 47, 48, 63, 64}) {
+    rows.push_back(m);
+  }
+  EXPECT_EQ(rows.back(), kGemmSmallPathMaxRows);
+  return rows;
+}
+
 // The fast path skips packing but must replay the packed association
-// exactly: force each route over every row count the gate admits, column
-// counts around both panel widths (8 and 16) and depths of one and more
-// k blocks, in all three layouts, and demand bitwise equality under
-// every supported kernel (fma included: its small kernel runs fused
-// chains like the fused packed kernel).
+// exactly: force each route over the row counts above, column counts
+// around both panel widths (8 and 16) and depths of one and more k
+// blocks, in all three layouts, and demand bitwise equality under every
+// supported kernel (fma included: its small kernel runs fused chains
+// like the fused packed kernel).
 TEST(GemmSmallPath, BitwiseIdenticalToPackedRoute) {
   DispatchGuard guard;
   const std::size_t ns[] = {1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 250, 256};
   const std::size_t ks[] = {1, 10, 64, 256, 257, 520};
+  const std::vector<std::size_t> rows = small_path_rows();
   Rng rng(13);
   for (Variant v : kVariants) {
     for (const std::size_t n : ns) {
       for (const std::size_t k : ks) {
         const Tensor b = Tensor::randn(stored_b(v, k, n), rng);
-        for (std::size_t m = 1; m <= kGemmSmallPathMaxRows; ++m) {
+        for (const std::size_t m : rows) {
           ASSERT_LE(n, kGemmSmallPathMaxCols);
           const Tensor a = Tensor::randn(stored_a(v, m, k), rng);
           for (GemmKernel kernel : kAllKernels) {
@@ -467,6 +481,21 @@ TEST(GemmSmallPath, DisabledLimitForcesPackedRouteDeterministically) {
   set_gemm_small_path_limit(kGemmSmallPathDefaultLimit);
   const Tensor fast = matmul(a, b);
   EXPECT_TRUE(bitwise_equal(packed, fast));
+}
+
+// Under the default gate every product of a 32-row training step or
+// attack lane batch on a 64-wide layer takes the small path: the forward
+// X*W, the input gradient G*W^T and the weight gradient X^T*G (m = the
+// fan-in), for the digits 64-64-10 MLP's two layers.
+TEST(GemmSmallPath, DefaultGateAdmitsTrainingStepProducts) {
+  DispatchGuard guard;
+  set_gemm_small_path_limit(kGemmSmallPathDefaultLimit);
+  for (const std::size_t out : {64u, 10u}) {
+    EXPECT_TRUE(gemm_takes_small_path(32, out, 64)) << "X*W, out " << out;
+    EXPECT_TRUE(gemm_takes_small_path(32, 64, out)) << "G*W^T, out " << out;
+    EXPECT_TRUE(gemm_takes_small_path(64, out, 32)) << "X^T*G, out " << out;
+  }
+  EXPECT_FALSE(gemm_takes_small_path(kGemmSmallPathMaxRows + 1, 64, 64));
 }
 
 }  // namespace

@@ -1,4 +1,8 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +158,44 @@ TEST(ReLU, BackwardMasksByInputSign) {
   EXPECT_EQ(g(0, 2), 0.0f);  // convention: gradient 0 at the kink
 }
 
+TEST(ReLU, MaskSelectMatchesScalarFormulaBitwise) {
+  // Both passes select through a compare mask four lanes at a time, with
+  // a scalar tail. Every element, in the vector body and in the tail, must
+  // equal the scalar formulas x > 0 ? x : +0 forward and x <= 0 ? +0 : g
+  // backward bit for bit: NaN gives +0 forward and passes its gradient,
+  // -0 gives +0 both ways, +-Inf and subnormals keep their sign rules.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {nan,  inf,   -inf, 0.0f, -0.0f,
+                            1.5f, -2.5f, tiny, -tiny, -nan};
+  constexpr std::size_t kSpecials = std::size(specials);
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  Rng rng(16);
+  for (const std::size_t cols : {1u, 3u, 5u, 7u, 13u, 37u}) {
+    Tensor x = Tensor::randn({3, cols}, rng);
+    Tensor g = Tensor::randn({3, cols}, rng);
+    const std::size_t size = x.size();  // 3 * cols: odd, so a tail remains
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i % 2 == 0) x.at(i) = specials[(i / 2) % kSpecials];
+      if (i % 3 == 0) g.at(i) = specials[(i / 3 + 1) % kSpecials];
+    }
+    x.at(size - 1) = nan;
+    g.at(size - 1) = -0.0f;
+    if (size > 1) x.at(size - 2) = -0.0f;
+    ReLU relu;
+    const Tensor y = relu.forward(x, /*training=*/true);
+    const Tensor gx = relu.backward(g);
+    for (std::size_t i = 0; i < size; ++i) {
+      const float xi = x.at(i);
+      EXPECT_EQ(bits(y.at(i)), bits(xi > 0.0f ? xi : 0.0f))
+          << "forward, " << size << " elements, index " << i << " x=" << xi;
+      EXPECT_EQ(bits(gx.at(i)), bits(xi <= 0.0f ? 0.0f : g.at(i)))
+          << "backward, " << size << " elements, index " << i << " x=" << xi;
+    }
+  }
+}
+
 TEST(LeakyReLU, KeepsScaledNegatives) {
   LeakyReLU leaky(0.1f);
   const Tensor x({1, 2}, std::vector<float>{-2, 3});
@@ -252,7 +294,8 @@ TEST(SoftmaxCrossEntropy, GradientMatchesFiniteDifference) {
   SoftmaxCrossEntropy loss;
   const Tensor logits = Tensor::randn({3, 5}, rng);
   const std::vector<int> labels = {1, 4, 0};
-  const Tensor grad = loss.gradient(logits, labels);
+  Tensor grad;
+  loss.loss_and_gradient(logits, labels, {}, grad);
   const float h = 1e-2f;
   Tensor probe = logits;
   for (std::size_t i = 0; i < logits.size(); i += 3) {

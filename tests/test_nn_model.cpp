@@ -1,6 +1,8 @@
 #include "nn/model.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
+#include "tensor/tensor_ops.h"
 #include "test_helpers.h"
 
 namespace opad {
@@ -345,6 +348,62 @@ TEST(Classifier, AccumulateGradientsPopulatesParamGrads) {
     grad_norm += g->l2_norm();
   }
   EXPECT_GT(grad_norm, 0.0);
+}
+
+TEST(Classifier, AccumulateGradientsEqualFullBackward) {
+  // accumulate_gradients computes the loss and its gradient in one pass
+  // and skips the first layer's input gradient. Its loss and parameter
+  // gradients must still equal those of the composition it replaces, bit
+  // for bit: forward, loss(), the softmax_rows gradient scaled by
+  // w_i / n, and the full backward(). With and without sample weights,
+  // through Dense and through Conv2D + MaxPool2D.
+  Rng rng(15);
+  std::vector<Classifier> models;
+  models.push_back(testing::make_mlp(36, 16, 4, rng));
+  models.push_back(make_small_cnn(rng));
+  const std::vector<int> ys = {0, 1, 2, 3, 0, 1, 2};
+  const std::vector<double> weights = {0.5, 2.0, 1.0, 0.0, 3.0, 1.5, 0.25};
+  const std::size_t n = ys.size();
+  for (Classifier& model : models) {
+    Sequential& net = model.network();
+    for (const bool weighted : {false, true}) {
+      const std::span<const double> w =
+          weighted ? std::span<const double>(weights)
+                   : std::span<const double>();
+      const Tensor x = Tensor::randn({n, 36}, rng);
+      net.zero_gradients();
+      const Tensor out = net.forward(x, /*training=*/true);
+      const double want_loss = SoftmaxCrossEntropy{}.loss(out, ys, w);
+      double total = 0.0;
+      for (double v : weights) total += v;
+      Tensor grad = softmax_rows(out);
+      for (std::size_t i = 0; i < n; ++i) {
+        grad(i, static_cast<std::size_t>(ys[i])) -= 1.0f;
+        const double wi =
+            weighted ? weights[i] * (static_cast<double>(n) / total) : 1.0;
+        const float scale =
+            static_cast<float>(wi) * (1.0f / static_cast<float>(n));
+        for (float& v : grad.row_span(i)) v *= scale;
+      }
+      net.backward(grad);
+      std::vector<Tensor> want;
+      for (Tensor* g : net.gradients()) want.push_back(*g);
+
+      net.zero_gradients();
+      const double loss = model.accumulate_gradients(x, ys, w);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loss),
+                std::bit_cast<std::uint64_t>(want_loss))
+          << loss << " vs " << want_loss;
+      const auto got = net.gradients();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_GT(want[i].l2_norm(), 0.0f) << "gradient " << i;
+        EXPECT_TRUE(bitwise_equal(got[i]->data(), want[i].data()))
+            << net.layer_names().front() << " weighted " << weighted
+            << " gradient " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +52,61 @@ TEST(Sgd, WeightDecayShrinksWeights) {
   g.at(0) = 0.0f;
   opt.step();
   EXPECT_NEAR(w.at(0), 1.0f - 0.1f * 0.5f, 1e-6f);
+}
+
+/// One operation of the scalar SGD update, rounded to float on its own:
+/// the volatile round trip keeps a build with FP contraction from fusing a
+/// multiply into the following add, as the optimizer's own TU does.
+float rounded(float v) {
+  volatile float r = v;
+  return r;
+}
+
+TEST(Sgd, VectorisedStepEqualsScalarLoopBitwise) {
+  // Sgd::step runs four parameters per instruction with a scalar tail.
+  // On every size from 1 to 37, with and without momentum and weight
+  // decay, and with NaN, +-Inf and -0 among the gradients, three steps
+  // must leave parameters equal to the scalar loop's bit for bit. The
+  // weight-decay term matters even at 0: -0 + 0 * p is +0, not -0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan, inf, -inf, -0.0f, 0.0f};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  const float lr = 0.05f;
+  Rng rng(17);
+  for (const double momentum : {0.0, 0.9}) {
+    for (const double decay : {0.0, 1e-3}) {
+      for (std::size_t size = 1; size <= 37; ++size) {
+        Tensor w = Tensor::randn({size}, rng);
+        Tensor g = Tensor::randn({size}, rng);
+        for (std::size_t i = 0; i < size; i += 3) {
+          g.at(i) = specials[(i / 3) % std::size(specials)];
+        }
+        std::vector<float> p(w.data().begin(), w.data().end());
+        std::vector<float> v(size, 0.0f);
+        Sgd opt({&w}, {&g}, lr, momentum, decay);
+        const auto mu = static_cast<float>(momentum);
+        const auto wd = static_cast<float>(decay);
+        for (int step = 0; step < 3; ++step) {
+          opt.step();
+          for (std::size_t j = 0; j < size; ++j) {
+            const float grad = rounded(g.at(j) + rounded(wd * p[j]));
+            if (momentum > 0.0) {
+              v[j] = rounded(rounded(mu * v[j]) + grad);
+              p[j] = rounded(p[j] - rounded(lr * v[j]));
+            } else {
+              p[j] = rounded(p[j] - rounded(lr * grad));
+            }
+          }
+          for (std::size_t j = 0; j < size; ++j) {
+            ASSERT_EQ(bits(w.at(j)), bits(p[j]))
+                << "size " << size << " momentum " << momentum << " decay "
+                << decay << " step " << step << " index " << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Adam, MinimisesQuadratic) {
